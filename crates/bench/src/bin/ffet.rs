@@ -412,6 +412,12 @@ fn cache_cmd(verb: &str, args: &ParsedArgs) -> i32 {
 }
 
 fn main() {
+    // Same startup contract as `repro`: a bad `FFET_FAULTS` spec exits 2
+    // with the parse message instead of panicking later.
+    if let Err(e) = ffet_core::FaultPlan::try_from_env() {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    }
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let code = match (
         argv.first().map(String::as_str),

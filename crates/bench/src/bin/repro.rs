@@ -330,6 +330,12 @@ fn trace_cmd(query: Option<&str>) -> i32 {
 }
 
 fn main() {
+    // `FFET_FAULTS` is parsed once, here: a bad spec is a usage error, not
+    // a panic deep inside the first flow config.
+    let faults = FaultPlan::try_from_env().unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2)
+    });
     let mut jobs: Option<usize> = None;
     let mut resume = false;
     let mut no_cache = false;
@@ -398,10 +404,9 @@ fn main() {
     // must neither reset nor extend it.
     let mut ckpt_ctx: Option<Ckpt> = if arg == "all" || ALL.contains(&arg.as_str()) {
         let path = Path::new(ckpt::CKPT_DIR).join(ckpt::JOURNAL_FILE);
-        let plan = FaultPlan::from_env();
-        let fault = if plan.has_ckpt_torn() {
+        let fault = if faults.has_ckpt_torn() {
             JournalFault::TornWrite
-        } else if plan.has_ckpt_stale() {
+        } else if faults.has_ckpt_stale() {
             JournalFault::StaleHash
         } else {
             JournalFault::None

@@ -408,6 +408,11 @@ fn row_json(r: &crate::runner::RunLogRow) -> ffet_obs::Json {
             r.stages.as_ref().map_or(ffet_obs::Json::Null, stages_json),
         ),
         (
+            "ladder_ms".to_owned(),
+            r.ladder_ms
+                .map_or(ffet_obs::Json::Null, ffet_obs::Json::Num),
+        ),
+        (
             "attempts".to_owned(),
             ffet_obs::Json::Int(i64::from(r.attempts)),
         ),
@@ -441,6 +446,8 @@ fn row_from_json(j: &ffet_obs::Json) -> Option<crate::runner::RunLogRow> {
         worker: usize::try_from(j.get("worker")?.as_i64()?).ok()?,
         wall_ms: j.get("wall_ms")?.as_f64()?,
         stages,
+        // Absent in journals written before the column existed.
+        ladder_ms: j.get("ladder_ms").and_then(ffet_obs::Json::as_f64),
         attempts: u32::try_from(j.get("attempts")?.as_i64()?).ok()?,
         disposition: j.get("disposition")?.as_str()?.to_owned(),
     })
@@ -704,6 +711,7 @@ mod tests {
                     rcx_ms: 0.75,
                     sta_ms: 1.0,
                 }),
+                ladder_ms: Some(4.5),
                 attempts: 2,
                 disposition: "timeout(pnr)".into(),
             },
@@ -714,6 +722,7 @@ mod tests {
                 worker: 0,
                 wall_ms: 13.0,
                 stages: None,
+                ladder_ms: None,
                 attempts: 0,
                 disposition: "ok".into(),
             },
@@ -729,6 +738,8 @@ mod tests {
             replayed.rows[0].stages.map(|s| s.pnr_ms),
             rows[0].stages.map(|s| s.pnr_ms)
         );
+        assert_eq!(replayed.rows[0].ladder_ms, Some(4.5));
+        assert_eq!(replayed.rows[1].ladder_ms, None);
         assert_eq!(replayed.rows[0].disposition, "timeout(pnr)");
         assert_eq!(replayed.rows[1].stages, None);
         assert!(replayed.traces.is_empty());

@@ -337,9 +337,10 @@ pub struct UtilPoint {
 /// each reported point is the best (fewest-DRV) run of the attempts.
 const SWEEP_SEEDS: [u64; 3] = [42, 1042, 9042];
 
-/// A flow job's distilled result: the PPA point, its stage telemetry, and
-/// how the recovery ladder disposed of it.
-type FlowPoint = (PpaReport, StageTimes, PointRecovery);
+/// A flow job's distilled result: the PPA point, its stage telemetry
+/// (summed over every ladder attempt), how the recovery ladder disposed of
+/// it, and the ladder's wall time (attempts after the first, ms).
+type FlowPoint = (PpaReport, StageTimes, PointRecovery, f64);
 
 /// Runs one flow through the recovery ladder and keeps only what the sweeps
 /// need, dropping the heavy DEF/parasitics artifacts so large DoE grids stay
@@ -358,7 +359,7 @@ fn flow_job(
 ) -> Result<FlowPoint, PointFailure> {
     let r = run_flow_resilient(netlist, library, config);
     match r.outcome {
-        Ok(o) => Ok((o.report, o.stages, r.recovery)),
+        Ok(o) => Ok((o.report, r.stages, r.recovery, r.ladder_ms)),
         Err(error) => Err(PointFailure {
             error,
             attempts: r.recovery.attempts,
@@ -369,10 +370,11 @@ fn flow_job(
 /// Builds the runlog row for one resilient flow point: pool telemetry plus
 /// the recovery ladder's attempt count and final disposition.
 fn flow_row(experiment: &str, label: String, o: &JobOutcome<FlowPoint, PointFailure>) -> RunLogRow {
-    let stages = o.result.as_ref().ok().map(|(_, s, _)| *s);
+    let stages = o.result.as_ref().ok().map(|(_, s, _, _)| *s);
     let mut row = RunLogRow::from_stats(experiment, label, &o.stats, stages);
     match &o.result {
-        Ok((_, _, rec)) => {
+        Ok((_, _, rec, ladder_ms)) => {
+            row.ladder_ms = Some(*ladder_ms);
             row.attempts = rec.attempts;
             row.disposition = rec.disposition.to_cell();
         }
@@ -478,7 +480,7 @@ fn assemble_sweep(
             let Some(o) = outcomes.next() else { break };
             let point_label = format!("{label}u{u:.2}/s{seed}");
             record_point(experiment, point_label, &o, runlog, traces);
-            if let Ok((report, _, rec)) = o.result {
+            if let Ok((report, _, rec, _)) = o.result {
                 runs.push((report, rec));
             }
         }
@@ -844,7 +846,7 @@ pub fn fig9_on(design: DesignKind, pool: &Pool) -> Fig9 {
             &mut runlog,
             &mut traces,
         );
-        if let Ok((report, _, _)) = o.result {
+        if let Ok((report, _, _, _)) = o.result {
             rows.push(vec![
                 label.to_owned(),
                 f2(t),
@@ -1178,7 +1180,7 @@ pub fn table3_on(design: DesignKind, pool: &Pool) -> Table3 {
         record_point("table3", label, o, &mut runlog, &mut traces);
     }
     let mut outcomes = outcomes.into_iter();
-    let (base, _, _) = outcomes
+    let (base, _, _, _) = outcomes
         .next()
         .expect("baseline submitted")
         .result
@@ -1187,7 +1189,7 @@ pub fn table3_on(design: DesignKind, pool: &Pool) -> Table3 {
     let mut rows = Vec::new();
     let mut rows_data = Vec::new();
     for (o, (bp, config)) in outcomes.zip(jobs.iter().skip(1)) {
-        if let Ok((report, _, _)) = o.result {
+        if let Ok((report, _, _, _)) = o.result {
             let df = pct_diff(report.achieved_freq_ghz, base.achieved_freq_ghz);
             let dp = pct_diff(report.power_mw, base.power_mw);
             rows.push(vec![
@@ -1343,7 +1345,7 @@ pub fn fig13_on(design: DesignKind, pool: &Pool) -> Fig13 {
     let mut effs: Vec<(u8, f64)> = Vec::new();
     for (o, &n) in outcomes.into_iter().zip(&layers) {
         record_point("fig13", format!("FM{n}BM{n}"), &o, &mut runlog, &mut traces);
-        if let Ok((report, _, _)) = o.result {
+        if let Ok((report, _, _, _)) = o.result {
             effs.push((n, report.efficiency_ghz_per_mw()));
         }
     }
@@ -1447,7 +1449,7 @@ pub fn bridging_ablation_on(design: DesignKind, pool: &Pool) -> BridgingAblation
     let mut rows = Vec::new();
     for (o, (label, _)) in outcomes.into_iter().zip(configs) {
         record_point("ablation", label.to_owned(), &o, &mut runlog, &mut traces);
-        if let Ok((report, _, _)) = o.result {
+        if let Ok((report, _, _, _)) = o.result {
             rows.push(vec![
                 label.to_owned(),
                 report.cells.to_string(),

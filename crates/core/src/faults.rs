@@ -243,18 +243,30 @@ impl FaultPlan {
         })
     }
 
+    /// The plan from `FFET_FAULTS`, or empty when unset. Drivers call this
+    /// once at startup and exit on the error, so [`FaultPlan::from_env`]
+    /// never meets a bad spec.
+    ///
+    /// # Errors
+    ///
+    /// `FFET_FAULTS: <parse message>` on an unparsable spec.
+    pub fn try_from_env() -> Result<FaultPlan, String> {
+        match std::env::var(FAULTS_ENV) {
+            Ok(spec) => FaultPlan::parse(&spec).map_err(|e| format!("{FAULTS_ENV}: {e}")),
+            Err(_) => Ok(FaultPlan::default()),
+        }
+    }
+
     /// The plan from `FFET_FAULTS`, or empty when unset.
     ///
     /// # Panics
     ///
     /// On an unparsable spec — the variable is programmer-set, so a typo
-    /// should fail loudly rather than silently run faultless.
+    /// should fail loudly rather than silently run faultless. The `repro`
+    /// and `ffet` drivers reject a bad spec at startup (exit 2) first.
     #[must_use]
     pub fn from_env() -> FaultPlan {
-        match std::env::var(FAULTS_ENV) {
-            Ok(spec) => FaultPlan::parse(&spec).unwrap_or_else(|e| panic!("{FAULTS_ENV}: {e}")),
-            Err(_) => FaultPlan::default(),
-        }
+        FaultPlan::try_from_env().unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Faults active on the current attempt.

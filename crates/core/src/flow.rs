@@ -11,7 +11,9 @@ use ffet_cells::Library;
 use ffet_geom::FxHashMap;
 use ffet_lefdef::{merge_defs, Def};
 use ffet_netlist::Netlist;
-use ffet_pnr::{pin_position, run_pnr, PnrConfig, PnrError, PnrResult};
+use ffet_pnr::{
+    pin_position, run_pnr, run_pnr_resumable, PnrConfig, PnrError, PnrResult, PnrSession,
+};
 use ffet_rcx::{extract_net_with, NetParasitics};
 use ffet_sta::{analyze_power, analyze_timing, StaConfig};
 use ffet_tech::{RoutingPattern, TechKind, Technology};
@@ -186,6 +188,16 @@ pub struct StageTimes {
 }
 
 impl StageTimes {
+    /// Adds `other` stage by stage (the ladder's all-attempt totals).
+    pub fn add(&mut self, other: &StageTimes) {
+        self.synth_ms += other.synth_ms;
+        self.pnr_ms += other.pnr_ms;
+        self.merge_ms += other.merge_ms;
+        self.signoff_ms += other.signoff_ms;
+        self.rcx_ms += other.rcx_ms;
+        self.sta_ms += other.sta_ms;
+    }
+
     /// Sum of all stage timings, ms.
     #[must_use]
     pub fn total_ms(&self) -> f64 {
@@ -311,6 +323,23 @@ pub fn run_flow(
     library: &Library,
     config: &FlowConfig,
 ) -> Result<FlowOutcome, FlowError> {
+    run_flow_session(netlist, library, config, &mut None, false)
+}
+
+/// [`run_flow`] with a recovery-ladder P&R handoff (see
+/// [`crate::run_flow_resilient`]). When `session` holds a [`PnrSession`]
+/// that [`PnrSession::resumes`] this attempt's P&R config, the pnr stage
+/// continues it (it is consumed either way once the stage computes);
+/// otherwise, with `keep`, the pnr stage leaves its own session in
+/// `session`. Artifacts, spans and metrics are those of `run_flow` at any
+/// combination, apart from the `cached` attribute on replayed spans.
+pub(crate) fn run_flow_session(
+    netlist: &Netlist,
+    library: &Library,
+    config: &FlowConfig,
+    session: &mut Option<PnrSession>,
+    keep: bool,
+) -> Result<FlowOutcome, FlowError> {
     use crate::stagecache::{self, run_stage, StageCache};
 
     let mut stages = StageTimes::default();
@@ -414,7 +443,22 @@ pub fn run_flow(
         || {
             let mut netlist = netlist;
             let sp = ffet_obs::span("flow.pnr");
-            let pnr = match run_pnr(&mut netlist, library, &pnr_config) {
+            let pnr = match session.take() {
+                Some(s) if s.resumes(&pnr_config) => {
+                    s.resume(library, &pnr_config).map(|(resumed, pnr)| {
+                        netlist = resumed;
+                        pnr
+                    })
+                }
+                _ if keep => {
+                    run_pnr_resumable(&mut netlist, library, &pnr_config).map(|(pnr, kept)| {
+                        *session = kept;
+                        pnr
+                    })
+                }
+                _ => run_pnr(&mut netlist, library, &pnr_config),
+            };
+            let pnr = match pnr {
                 Err(PnrError::Cancelled) => {
                     ffet_obs::counter_add("flow.timeout", 1);
                     return Err(FlowError::Timeout(FlowStage::Pnr.to_string()));

@@ -9,7 +9,8 @@
 //!
 //! 1. **Baseline** — the configured point, untouched.
 //! 2. **Extra reroute** — [`EXTRA_REROUTE_ROUNDS`] additional
-//!    rip-up-and-reroute rounds.
+//!    rip-up-and-reroute rounds, continuing attempt 0's negotiation where
+//!    it stopped rather than placing and routing again.
 //! 3. **Relax utilization** — one [`UTIL_RELAX_STEP`] down (clamped at
 //!    [`UTIL_RELAX_FLOOR`]), keeping the extra rounds.
 //! 4. **Perturb seed** — a SplitMix64 perturbation of the base seed,
@@ -22,7 +23,7 @@
 //! are flagged so sweep aggregation can keep them out of max-utilization
 //! claims.
 
-use crate::flow::{run_flow, FlowConfig, FlowError, FlowOutcome};
+use crate::flow::{run_flow_session, FlowConfig, FlowError, FlowOutcome, StageTimes};
 use ffet_cells::Library;
 use ffet_netlist::Netlist;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -147,6 +148,12 @@ pub struct ResilientOutcome {
     pub log: AttemptLog,
     /// Final disposition + attempt count.
     pub recovery: PointRecovery,
+    /// Stage wall times summed over every attempt that produced an outcome
+    /// (telemetry; the final attempt's alone are in `outcome`).
+    pub stages: StageTimes,
+    /// Wall time of the attempts after the first, ms: what the ladder cost
+    /// (telemetry).
+    pub ladder_ms: f64,
 }
 
 /// Why a resilient point produced no flow outcome at all (every attempt
@@ -205,6 +212,16 @@ fn perturb_seed(base: u64, attempt: u32) -> u64 {
 /// outcome (`Clean`/`Recovered`); on exhaustion, the best invalid outcome
 /// (fewest DRVs, earliest attempt) or the last error, marked `Failed`.
 /// Sweep tables keep their rows either way.
+///
+/// **Rung 1 continues attempt 0.** Rung 1 changes only the reroute budget,
+/// so attempt 0 keeps a [`ffet_pnr::PnrSession`] (post-CTS netlist,
+/// placement, router state, recorded spans) and attempt 1's pnr stage
+/// replays attempt 0's placement and rounds as `cached=true` spans and runs
+/// only the rounds the larger budget adds. Every artifact, span and metric
+/// equals a from-scratch `run_flow` of the rung-1 config. No session is
+/// kept under a fault plan, with `max_attempts < 2`, or when attempt 0's
+/// pnr stage replayed from the stage cache; one is dropped as soon as
+/// attempt 0 errors or is valid, and after attempt 1.
 pub fn run_flow_resilient(
     netlist: &Netlist,
     library: &Library,
@@ -214,6 +231,9 @@ pub fn run_flow_resilient(
     let mut log = AttemptLog::default();
     let mut best_invalid: Option<(FlowOutcome, bool)> = None;
     let mut last_error: Option<FlowError> = None;
+    let mut stages = StageTimes::default();
+    let mut ladder_ms = 0.0;
+    let mut session = None;
 
     for attempt in 0..max_attempts {
         let (cfg, rung) = config_for_attempt(base, attempt);
@@ -224,7 +244,10 @@ pub fn run_flow_resilient(
             .attr("seed", cfg.seed.to_string())
             .attr("utilization", cfg.utilization);
         ffet_obs::counter_add("recover.attempts", 1);
-        let result = match catch_unwind(AssertUnwindSafe(|| run_flow(netlist, library, &cfg))) {
+        let keep = attempt == 0 && max_attempts >= 2 && base.fault_plan.is_empty();
+        let result = match catch_unwind(AssertUnwindSafe(|| {
+            run_flow_session(netlist, library, &cfg, &mut session, keep)
+        })) {
             Ok(r) => r,
             Err(payload) => Err(FlowError::Panicked(crate::runner::panic_message(
                 payload.as_ref(),
@@ -241,7 +264,16 @@ pub fn run_flow_resilient(
             Err(e) => format!("error: {e}"),
         };
         attempt_span.set_attr("outcome", outcome_cell.as_str());
-        attempt_span.close();
+        let attempt_ms = attempt_span.close_ms();
+        if attempt > 0 {
+            ladder_ms += attempt_ms;
+        }
+        if let Ok(o) = &result {
+            stages.add(&o.stages);
+        }
+        if attempt > 0 || result.is_err() {
+            session = None;
+        }
         log.attempts.push(AttemptRecord {
             attempt,
             rung,
@@ -267,6 +299,8 @@ pub fn run_flow_resilient(
                         attempts: attempt + 1,
                         relaxed,
                     },
+                    stages,
+                    ladder_ms,
                 };
             }
             Ok(outcome) => {
@@ -292,6 +326,8 @@ pub fn run_flow_resilient(
             outcome: Ok(outcome),
             log,
             recovery: recovery(relaxed),
+            stages,
+            ladder_ms,
         },
         None => ResilientOutcome {
             // `max_attempts >= 1`, so the loop ran and either banked a
@@ -303,6 +339,8 @@ pub fn run_flow_resilient(
             })),
             log,
             recovery: recovery(false),
+            stages,
+            ladder_ms,
         },
     }
 }

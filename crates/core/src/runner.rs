@@ -47,8 +47,12 @@ pub struct RunLogRow {
     pub worker: usize,
     /// Wall-clock time, ms.
     pub wall_ms: f64,
-    /// Per-stage breakdown of the flow, when the job ran the flow.
+    /// Per-stage breakdown of the flow, summed over every recovery-ladder
+    /// attempt, when the job ran the flow.
     pub stages: Option<StageTimes>,
+    /// Wall time of the ladder's attempts after the first, ms, when the job
+    /// ran the flow: what recovery cost.
+    pub ladder_ms: Option<f64>,
     /// Flow attempts executed for this point (1 = no recovery; 0 for
     /// synthetic rows that ran nothing).
     pub attempts: u32,
@@ -73,6 +77,7 @@ impl RunLogRow {
             worker: stats.worker,
             wall_ms: stats.wall.as_secs_f64() * 1e3,
             stages,
+            ladder_ms: None,
             attempts: 1,
             disposition: stats.disposition.to_cell(),
         }
@@ -88,6 +93,7 @@ impl RunLogRow {
             worker: 0,
             wall_ms: 0.0,
             stages: None,
+            ladder_ms: None,
             attempts: 0,
             disposition: Disposition::Skipped(reason.to_owned()).to_cell(),
         }
@@ -130,6 +136,7 @@ impl RunLog {
             worker: 0,
             wall_ms: wall.as_secs_f64() * 1e3,
             stages: None,
+            ladder_ms: None,
             attempts: 0,
             disposition: Disposition::Completed.to_cell(),
         });
@@ -174,15 +181,18 @@ impl RunLog {
             }
         };
         let mut out = String::from(
-            "experiment,label,index,worker,wall_ms,synth_ms,pnr_ms,merge_ms,signoff_ms,rcx_ms,sta_ms,attempts,disposition\n",
+            "experiment,label,index,worker,wall_ms,synth_ms,pnr_ms,merge_ms,signoff_ms,rcx_ms,sta_ms,ladder_ms,attempts,disposition\n",
         );
         for r in &self.rows {
             let stage = |pick: fn(&StageTimes) -> f64| -> String {
                 r.stages
                     .map_or_else(String::new, |s| format!("{:.3}", pick(&s)))
             };
+            let ladder = r
+                .ladder_ms
+                .map_or_else(String::new, |ms| format!("{ms:.3}"));
             out.push_str(&format!(
-                "{},{},{},{},{:.3},{},{},{},{},{},{},{},{}\n",
+                "{},{},{},{},{:.3},{},{},{},{},{},{},{},{},{}\n",
                 quote(&r.experiment),
                 quote(&r.label),
                 r.index,
@@ -194,6 +204,7 @@ impl RunLog {
                 stage(|s| s.signoff_ms),
                 stage(|s| s.rcx_ms),
                 stage(|s| s.sta_ms),
+                ladder,
                 r.attempts,
                 quote(&r.disposition),
             ));
@@ -217,18 +228,41 @@ mod tests {
             wall: Duration::from_millis(12),
             disposition: Disposition::Completed,
         };
+        let stages = StageTimes {
+            synth_ms: 1.0,
+            pnr_ms: 2.0,
+            merge_ms: 0.5,
+            signoff_ms: 0.25,
+            rcx_ms: 0.125,
+            sta_ms: 4.0,
+        };
+        let laddered = RunLogRow {
+            ladder_ms: Some(7.5),
+            attempts: 2,
+            disposition: "recovered(1)".into(),
+            ..RunLogRow::from_stats("figX", "p1".into(), &stats, Some(stages))
+        };
         log.record_experiment(
             "figX",
-            vec![RunLogRow::from_stats("figX", "p0".into(), &stats, None)],
+            vec![
+                RunLogRow::from_stats("figX", "p0".into(), &stats, None),
+                laddered,
+            ],
             Duration::from_millis(20),
         );
         let csv = log.to_csv();
-        assert!(csv.starts_with("experiment,label,index,worker,wall_ms,"));
-        assert!(csv.contains("figX,p0,0,1,"));
-        assert!(csv.contains("figX,(total),1,0,"));
+        assert!(csv.starts_with(
+            "experiment,label,index,worker,wall_ms,synth_ms,pnr_ms,merge_ms,signoff_ms,\
+             rcx_ms,sta_ms,ladder_ms,attempts,disposition\n"
+        ));
+        assert!(csv.contains("figX,p0,0,1,12.000,,,,,,,,1,ok\n"));
+        assert!(csv.contains(
+            "figX,p1,0,1,12.000,1.000,2.000,0.500,0.250,0.125,4.000,7.500,2,recovered(1)\n"
+        ));
+        assert!(csv.contains("figX,(total),2,0,"));
         assert!(csv.contains("# jobs=4"));
         assert!(log
             .summary("figX")
-            .contains("1 jobs (1 ok, 0 failed/skipped)"));
+            .contains("2 jobs (2 ok, 0 failed/skipped)"));
     }
 }

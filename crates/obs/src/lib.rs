@@ -423,14 +423,17 @@ pub fn ambient_elapsed_us() -> f64 {
     with_collector(|c| c.inner.borrow().epoch.elapsed().as_secs_f64() * 1e6).unwrap_or(0.0)
 }
 
-/// Zero every wall-clock field of a captured point, leaving only the
-/// deterministic structure (ids, parents, depths, names, attrs, metric
-/// values). Stage-cache payloads are stripped before hashing/storing so the
-/// same computation always serializes to the same bytes.
+/// Zero every wall-clock field of a captured point and drop the `cached`
+/// provenance attribute (which depends on what earlier runs left behind,
+/// not on the computation), leaving only the deterministic structure (ids,
+/// parents, depths, names, attrs, metric values). Stage-cache payloads are
+/// stripped before hashing/storing so the same computation always
+/// serializes to the same bytes, whether parts of it were replayed or not.
 pub fn strip_point_timing(data: &mut PointData) {
     for event in &mut data.events {
         event.start_us = 0.0;
         event.dur_us = 0.0;
+        event.attrs.retain(|(k, _)| k != "cached");
     }
 }
 

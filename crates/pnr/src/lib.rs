@@ -9,6 +9,10 @@
 //! routing → two DEFs
 //! ```
 //!
+//! [`run_pnr_resumable`] runs the same sequence and also keeps a
+//! [`PnrSession`], which continues the routing negotiation under a larger
+//! reroute budget without placing or routing again.
+//!
 //! # Example
 //!
 //! ```no_run
@@ -74,8 +78,10 @@ pub use route::{
 use ffet_cells::{Library, PinSides};
 use ffet_lefdef::Def;
 use ffet_netlist::Netlist;
+use ffet_obs::PointData;
 pub use ffet_pool::CancelToken;
 use ffet_tech::{PatternError, RoutingPattern, Side};
+use route::RouteSession;
 
 /// Configuration of one P&R run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -210,6 +216,152 @@ pub fn run_pnr(
     library: &Library,
     config: &PnrConfig,
 ) -> Result<PnrResult, PnrError> {
+    let (placed, side_nets) = place_design(netlist, library, config)?;
+    let route_span = ffet_obs::span("pnr.route");
+    let mut route = start_route(netlist, library, &placed, side_nets, config);
+    route.negotiate(&route_opts(config));
+    finish_pnr(netlist, library, config, placed, &route, route_span)
+}
+
+/// [`run_pnr`], also returning a [`PnrSession`] that can continue the
+/// routing negotiation with a larger [`PnrConfig::extra_reroute_rounds`].
+/// The session is kept only when the result is invalid (DRV ≥ 10): a valid
+/// run leaves nothing to continue. The result, spans and metrics are
+/// exactly those of `run_pnr`.
+///
+/// # Errors
+///
+/// As [`run_pnr`].
+pub fn run_pnr_resumable(
+    netlist: &mut Netlist,
+    library: &Library,
+    config: &PnrConfig,
+) -> Result<(PnrResult, Option<PnrSession>), PnrError> {
+    let (placed, place_trace) = recorded(|| place_design(netlist, library, config));
+    let (placed, side_nets) = placed?;
+    let route_span = ffet_obs::span("pnr.route");
+    let (route, route_trace) = recorded(|| {
+        let mut route = start_route(netlist, library, &placed, side_nets, config);
+        route.negotiate(&route_opts(config));
+        route
+    });
+    let result = finish_pnr(netlist, library, config, placed.clone(), &route, route_span)?;
+    let session = (!result.is_valid(library)).then(|| PnrSession {
+        config: *config,
+        netlist: netlist.clone(),
+        placed,
+        route,
+        place_trace,
+        route_trace,
+    });
+    Ok((result, session))
+}
+
+/// A finished P&R run kept so the recovery ladder's extra-reroute rung can
+/// continue it instead of starting over: the post-CTS netlist, the
+/// placement half's artifacts, the router's state where its rip-up loop
+/// stopped, and the spans and metrics both halves recorded (the `flow.pnr`
+/// children before `pnr.route`, and the `pnr.route` children up to where
+/// the loop stopped), timing-stripped.
+#[derive(Debug)]
+pub struct PnrSession {
+    config: PnrConfig,
+    netlist: Netlist,
+    placed: Placed,
+    route: RouteSession,
+    place_trace: PointData,
+    route_trace: PointData,
+}
+
+impl PnrSession {
+    /// Whether `config` is this run with only a larger (or equal) reroute
+    /// budget, so [`PnrSession::resume`] reproduces `run_pnr(config)`.
+    /// `route_jobs` and `cancel` may differ (wall clock only); a
+    /// fault-injected run never resumes.
+    #[must_use]
+    pub fn resumes(&self, config: &PnrConfig) -> bool {
+        let PnrConfig {
+            utilization,
+            aspect_ratio,
+            pattern,
+            seed,
+            bridging_min_nm,
+            extra_reroute_rounds,
+            route_jobs: _,
+            route_panic,
+            cancel: _,
+        } = *config;
+        let base = &self.config;
+        utilization.to_bits() == base.utilization.to_bits()
+            && aspect_ratio.to_bits() == base.aspect_ratio.to_bits()
+            && pattern == base.pattern
+            && seed == base.seed
+            && bridging_min_nm == base.bridging_min_nm
+            && extra_reroute_rounds >= base.extra_reroute_rounds
+            && !route_panic
+            && !base.route_panic
+    }
+
+    /// Continues the run under `config` (which [`PnrSession::resumes`]
+    /// must accept): replays the recorded spans and metrics with the
+    /// `cached=true` root attribute, runs only the rip-up rounds between
+    /// where the loop stopped and the new budget, then restores, emits and
+    /// exports as [`run_pnr`] does. Returns the post-CTS netlist and the
+    /// result `run_pnr(config)` would have produced.
+    ///
+    /// # Errors
+    ///
+    /// [`PnrError::Cancelled`] when `config.cancel` expires.
+    pub fn resume(
+        self,
+        library: &Library,
+        config: &PnrConfig,
+    ) -> Result<(Netlist, PnrResult), PnrError> {
+        let PnrSession {
+            netlist,
+            placed,
+            mut route,
+            place_trace,
+            route_trace,
+            ..
+        } = self;
+        let cached = [("cached".to_owned(), ffet_obs::AttrValue::Bool(true))];
+        ffet_obs::replay(&place_trace, ffet_obs::ambient_elapsed_us(), &cached);
+        let route_span = ffet_obs::span("pnr.route");
+        ffet_obs::replay(&route_trace, ffet_obs::ambient_elapsed_us(), &cached);
+        route.negotiate(&route_opts(config));
+        let result = finish_pnr(&netlist, library, config, placed, &route, route_span)?;
+        Ok((netlist, result))
+    }
+}
+
+/// Runs `f` under a capture, splices what it recorded into the ambient
+/// collector exactly as if it had run there, and returns the recording
+/// timing-stripped.
+fn recorded<T>(f: impl FnOnce() -> T) -> (T, PointData) {
+    let offset_us = ffet_obs::ambient_elapsed_us();
+    let (value, mut data) = ffet_obs::capture(f);
+    ffet_obs::replay(&data, offset_us, &[]);
+    ffet_obs::strip_point_timing(&mut data);
+    (value, data)
+}
+
+/// What the placement half of [`run_pnr`] hands the routing half.
+#[derive(Debug, Clone)]
+struct Placed {
+    floorplan: Floorplan,
+    powerplan: PowerPlan,
+    placement: Placement,
+    clock: ClockTree,
+}
+
+/// The placement half of [`run_pnr`]: floorplan → powerplan → place → CTS
+/// → (bridging) → floorplan2 → place2 → decompose.
+fn place_design(
+    netlist: &mut Netlist,
+    library: &Library,
+    config: &PnrConfig,
+) -> Result<(Placed, Vec<SideNet>), PnrError> {
     library.tech().check_pattern(config.pattern)?;
     // First placement pass positions the clock sinks for CTS.
     let sp = ffet_obs::span("pnr.floorplan");
@@ -252,23 +404,63 @@ pub fn run_pnr(
     let sp = ffet_obs::span("pnr.decompose");
     let side_nets = decompose_nets(netlist, library, &pl, config.pattern)?;
     sp.attr("side_nets", side_nets.len()).close();
-    let sp = ffet_obs::span("pnr.route");
-    let mut grid = RoutingGrid::new(library.tech(), fp.die, config.pattern);
-    add_pin_demand(netlist, library, &pl, &mut grid, config.pattern);
-    let routing = route_nets_opts(
-        library.tech(),
+    let placed = Placed {
+        floorplan: fp,
+        powerplan: pp,
+        placement: pl,
+        clock,
+    };
+    Ok((placed, side_nets))
+}
+
+/// The router options of `config`.
+fn route_opts(config: &PnrConfig) -> RouteOpts {
+    RouteOpts {
+        extra_rounds: config.extra_reroute_rounds,
+        route_jobs: config.route_jobs,
+        cancel: config.cancel,
+        ..RouteOpts::default()
+    }
+}
+
+/// Opens the routing half: the congestion grid with pin-access demand, the
+/// initial pattern routing of every connection, and (under the
+/// `panic-route` fault) the injected batch-worker panic.
+fn start_route(
+    netlist: &Netlist,
+    library: &Library,
+    placed: &Placed,
+    side_nets: Vec<SideNet>,
+    config: &PnrConfig,
+) -> RouteSession {
+    let mut grid = RoutingGrid::new(library.tech(), placed.floorplan.die, config.pattern);
+    add_pin_demand(
+        netlist,
+        library,
+        &placed.placement,
         &mut grid,
-        &side_nets,
         config.pattern,
-        &RouteOpts {
-            extra_rounds: config.extra_reroute_rounds,
-            route_jobs: config.route_jobs,
-            fault_panic: config.route_panic,
-            cancel: config.cancel,
-            ..RouteOpts::default()
-        },
     );
-    sp.attr("drv", routing.drv_count)
+    let route = RouteSession::new(grid, side_nets);
+    if config.route_panic {
+        route::inject_route_panic(config.route_jobs);
+    }
+    route
+}
+
+/// Closes the routing half: best-restore and geometry, the `pnr.route`
+/// span, the cancellation check, and the DEF export.
+fn finish_pnr(
+    netlist: &Netlist,
+    library: &Library,
+    config: &PnrConfig,
+    placed: Placed,
+    route: &RouteSession,
+    route_span: ffet_obs::Span,
+) -> Result<PnrResult, PnrError> {
+    let (routing, _) = route.finish(library.tech(), config.pattern);
+    route_span
+        .attr("drv", routing.drv_count)
         .attr("vias", routing.via_count)
         .close();
     // The router exits cooperatively on expiry (best-effort partial
@@ -277,6 +469,12 @@ pub fn run_pnr(
         return Err(PnrError::Cancelled);
     }
 
+    let Placed {
+        floorplan: fp,
+        powerplan: pp,
+        placement: pl,
+        clock,
+    } = placed;
     let sp = ffet_obs::span("pnr.export");
     let (front_def, back_def) = export_defs(netlist, library, &fp, &pp, &pl, &routing);
     sp.close();

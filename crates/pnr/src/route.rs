@@ -16,6 +16,11 @@
 //! reads the same immutable snapshot and commits in a fixed order, the
 //! worker count changes wall-clock only, never a single path, cost, or
 //! counter (see DESIGN §7).
+//!
+//! **Resumable negotiation.** The loop's state is a `RouteSession`:
+//! stopping at one round budget and resuming to a larger one is exactly one
+//! run at the larger budget, so the recovery ladder's extra-reroute rung
+//! continues a finished run instead of routing again (DESIGN §8).
 
 use crate::calib::REROUTE_ITERATIONS;
 use crate::dualside::SideNet;
@@ -77,8 +82,7 @@ struct Connection {
 /// parallelism of the batched rip-up rounds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RouteOpts {
-    /// Additional rip-up rounds on top of [`REROUTE_ITERATIONS`] — the
-    /// first rung of the flow-recovery ladder.
+    /// Additional rip-up rounds on top of [`REROUTE_ITERATIONS`].
     pub extra_rounds: u32,
     /// Worker count for routing a batch (`1` = inline on the caller
     /// thread, no pool threads). Changes wall-clock only: every batch is
@@ -90,12 +94,6 @@ pub struct RouteOpts {
     /// grid snapshot each connection negotiates against, so changing it
     /// changes the (still deterministic) result.
     pub batch_size: usize,
-    /// Deterministic fault injection (`FFET_FAULTS=panic-route`): a
-    /// dedicated one-job batch panics inside a pool worker before the
-    /// first rip-up round, exercising the pool's panic containment
-    /// through the batched path regardless of congestion. Never set
-    /// outside fault-injection runs.
-    pub fault_panic: bool,
     /// Cooperative deadline token, polled at the top of every rip-up
     /// round and every batch. On expiry the negotiation loop stops
     /// best-effort (the caller discards the partial result via
@@ -109,7 +107,6 @@ impl Default for RouteOpts {
             extra_rounds: 0,
             route_jobs: 1,
             batch_size: crate::calib::ROUTE_BATCH,
-            fault_panic: false,
             cancel: CancelToken::none(),
         }
     }
@@ -128,10 +125,14 @@ pub fn route_nets(
 }
 
 /// [`route_nets`] with `extra_rounds` additional rip-up-and-reroute
-/// iterations on top of the calibrated [`REROUTE_ITERATIONS`] budget — the
-/// first rung of the flow-recovery ladder. With `extra_rounds == 0` this is
-/// exactly `route_nets`; a congestion-free run exits the loop early either
-/// way, so the knob only changes outcomes that still carry overflow.
+/// iterations on top of the calibrated [`REROUTE_ITERATIONS`] budget. With
+/// `extra_rounds == 0` this is exactly `route_nets`. The knob only changes
+/// runs whose loop reaches the base budget: a loop that stops early — at
+/// overflow 0, or after round 2 with more than 2000 tracks of overflow —
+/// stops at the same round under any budget. Equivalent to a
+/// `RouteSession` negotiated to the base budget and then resumed for
+/// `extra_rounds` more, which is how the flow's recovery ladder gets its
+/// extra rounds without routing again.
 #[must_use]
 pub fn route_nets_with_effort(
     tech: &Technology,
@@ -148,7 +149,9 @@ pub fn route_nets_with_effort(
 }
 
 /// The full router entry point: [`route_nets`] plus every knob of the
-/// batched negotiated-congestion loop (see [`RouteOpts`]).
+/// batched negotiated-congestion loop (see [`RouteOpts`]). One
+/// [`RouteSession`] run to the `REROUTE_ITERATIONS + extra_rounds` budget
+/// and finished; `grid` ends in the routed (best-restored) state.
 #[must_use]
 pub fn route_nets_opts(
     tech: &Technology,
@@ -157,306 +160,402 @@ pub fn route_nets_opts(
     pattern: RoutingPattern,
     opts: &RouteOpts,
 ) -> RoutingResult {
-    let extra_rounds = opts.extra_rounds;
-    // MST decomposition into 2-pin connections.
-    let mut conns: Vec<Connection> = Vec::new();
-    for (si, sn) in side_nets.iter().enumerate() {
-        for (a, b) in mst_edges(&sn.pins) {
-            conns.push(Connection {
-                side_net: si,
-                from: a,
-                to: b,
-                path: Vec::new(),
-            });
-        }
-    }
-    // Short connections first: they have the least detour freedom.
-    conns.sort_by_key(|c| c.from.manhattan(c.to));
+    let mut session = RouteSession::new(grid.clone(), side_nets.to_vec());
+    session.negotiate(opts);
+    let (result, routed) = session.finish(tech, pattern);
+    *grid = routed;
+    result
+}
 
-    // Initial routing.
-    for ci in 0..conns.len() {
-        let side = side_nets[conns[ci].side_net].side;
-        let path = best_path(grid, side, conns[ci].from, conns[ci].to);
-        commit(grid, side, &path, 1.0);
-        conns[ci].path = path;
-    }
+/// The negotiated-congestion router as resumable state: the connections
+/// with their current paths, the grid (demand and history) *before* any
+/// best-restore, the best solution seen, the GCell → connection index and
+/// the round index where the rip-up loop stopped.
+///
+/// [`RouteSession::negotiate`] runs rip-up rounds up to a round budget and
+/// may be called again with a larger one: the loop never reads its budget
+/// except as the bound of `it`, so stopping at budget `B` and resuming to
+/// `B + E` visits exactly the rounds, paths and counters of one run at
+/// `B + E`. A loop that stopped early (overflow 0, or the deeply-infeasible
+/// exit) re-checks the same condition on resume and stops again.
+/// [`RouteSession::finish`] restores the best solution and emits geometry
+/// on a *copy*, so a finished session can still be resumed.
+#[derive(Debug, Clone)]
+pub(crate) struct RouteSession {
+    side_nets: Vec<SideNet>,
+    grid: RoutingGrid,
+    conns: Vec<Connection>,
+    /// GCell → connection inverted index (per side, flat cell layout): the
+    /// dirty set of a rip-up round is read from here instead of scanning
+    /// every connection's path. Entries are append-only — a rerouted
+    /// connection's old cells keep their (now stale) entries — because
+    /// every candidate is re-checked against the live grid before rip-up,
+    /// so a stale entry costs one overflow probe, never a wrong reroute.
+    index: [Vec<Vec<u32>>; 2],
+    /// Per-connection stamp of the last round that queued it.
+    queued: Vec<u32>,
+    /// The best solution seen, maintained copy-on-improve: an improving
+    /// round refreshes only the paths in `changed_list` (connections
+    /// rerouted since the previous snapshot) instead of cloning every path.
+    saved: Vec<Vec<GCell>>,
+    changed: Vec<bool>,
+    changed_list: Vec<u32>,
+    best_overflow: f64,
+    /// The round index the loop stopped at (the next round to run): the
+    /// budget it last ran to, or the round whose entry check ended it.
+    next_round: usize,
+}
 
-    // GCell → connection inverted index (per side, flat cell layout): the
-    // dirty set of a rip-up round is read from here instead of scanning
-    // every connection's path. Entries are append-only — a rerouted
-    // connection's old cells keep their (now stale) entries — because every
-    // candidate is re-checked against the live grid before rip-up, so a
-    // stale entry costs one overflow probe, never a wrong reroute.
-    let cols = grid.cols;
-    let cell_of = |g: GCell| g.y as usize * cols + g.x as usize;
-    let side_of = |side: Side| usize::from(side == Side::Back);
-    let mut index: [Vec<Vec<u32>>; 2] = [
-        vec![Vec::new(); cols * grid.rows],
-        vec![Vec::new(); cols * grid.rows],
-    ];
-    for (ci, conn) in conns.iter().enumerate() {
-        let s = side_of(side_nets[conn.side_net].side);
-        for &g in &conn.path {
-            index[s][cell_of(g)].push(ci as u32);
-        }
-    }
-
-    // Rip-up and reroute overflowed connections; the reroute uses an A*
-    // maze search (windowed, scratch-backed — see `crate::maze`) so
-    // detours can leave the bounding box (pattern candidates alone cannot
-    // relieve a hotspot).
-    // Snapshot the initial solution: negotiated rerouting may only make
-    // things worse, and the restore below must be able to fall back to it.
-    // The snapshot is maintained copy-on-improve: `saved` always holds the
-    // best solution seen, and an improving round refreshes only the paths
-    // in `changed` (connections rerouted since the previous snapshot)
-    // instead of cloning every path.
-    // One pool + one maze scratch per worker, reused across every batch of
-    // every round (the scratch is epoch-stamped, so reuse cannot leak state
-    // between searches — results are independent of which worker ran them).
-    let route_jobs = opts.route_jobs.max(1);
-    let batch_cap = opts.batch_size.max(1);
-    let pool = Pool::new(route_jobs);
-    let mut scratches: Vec<MazeScratch> = (0..route_jobs).map(|_| MazeScratch::new()).collect();
-    if opts.fault_panic {
-        inject_route_panic(&pool, &mut scratches);
-    }
-    let mut batch_ids: Vec<u32> = Vec::with_capacity(batch_cap);
-    let mut batch_jobs: Vec<(Side, Point, Point)> = Vec::with_capacity(batch_cap);
-    let mut best_overflow = grid.total_overflow();
-    let mut saved: Vec<Vec<GCell>> = conns.iter().map(|c| c.path.clone()).collect();
-    let mut changed: Vec<bool> = vec![false; conns.len()];
-    let mut changed_list: Vec<u32> = Vec::new();
-    // Rip-up worklist: ascending-id heap + per-round queued stamps, so
-    // connections are visited in the same order the full scan used.
-    let mut queue: BinaryHeap<Reverse<u32>> = BinaryHeap::new();
-    let mut queued: Vec<u32> = vec![0; conns.len()];
-    let mut dirty_cells: Vec<(u8, u32)> = Vec::new();
-    let rounds = REROUTE_ITERATIONS + extra_rounds as usize;
-    for it in 0..rounds {
-        // Deadline watchdog: stop negotiating before the round starts.
-        // With a forced (fault-injected) token this fires before round 0
-        // at any `route_jobs`, keeping the timeout path deterministic.
-        if opts.cancel.cancelled() {
-            ffet_obs::counter_add("route.cancelled", 1);
-            break;
-        }
-        let overflow_now = grid.total_overflow();
-        if overflow_now <= 0.0 {
-            break;
-        }
-        // Deeply infeasible runs (hundreds of times the validity budget)
-        // cannot be negotiated back under 10 DRVs; stop burning maze time
-        // once that is clear — the run is reported invalid either way.
-        if it >= 2 && overflow_now > 2_000.0 {
-            break;
-        }
-        let mut round_span = ffet_obs::span("route.round").attr("round", it);
-        // One grid scan prices history *and* yields the round's dirty set.
-        dirty_cells.clear();
-        grid.update_history_collect(&mut dirty_cells);
-        let round_stamp = it as u32 + 1;
-        for &(s, i) in &dirty_cells {
-            for &ci in &index[s as usize][i as usize] {
-                if queued[ci as usize] != round_stamp {
-                    queued[ci as usize] = round_stamp;
-                    queue.push(Reverse(ci));
-                }
+impl RouteSession {
+    /// Decomposes every side net into 2-pin connections (Manhattan MST),
+    /// routes them once with pattern candidates, and indexes the result.
+    /// `grid` must already carry the pin-access demand.
+    #[must_use]
+    pub fn new(mut grid: RoutingGrid, side_nets: Vec<SideNet>) -> RouteSession {
+        let mut conns: Vec<Connection> = Vec::new();
+        for (si, sn) in side_nets.iter().enumerate() {
+            for (a, b) in mst_edges(&sn.pins) {
+                conns.push(Connection {
+                    side_net: si,
+                    from: a,
+                    to: b,
+                    path: Vec::new(),
+                });
             }
         }
-        let mut rerouted = 0usize;
-        let mut visited = 0i64;
-        let mut batch_seq = 0usize;
-        loop {
-            // Deadline watchdog, between batches: the committed state is
-            // consistent here (ripped-up batches are always re-committed
-            // before this point), so stopping mid-round is safe.
+        // Short connections first: they have the least detour freedom.
+        conns.sort_by_key(|c| c.from.manhattan(c.to));
+
+        // Initial routing.
+        for conn in &mut conns {
+            let side = side_nets[conn.side_net].side;
+            let path = best_path(&grid, side, conn.from, conn.to);
+            commit(&mut grid, side, &path, 1.0);
+            conn.path = path;
+        }
+
+        let cells = grid.cols * grid.rows;
+        let mut index: [Vec<Vec<u32>>; 2] = [vec![Vec::new(); cells], vec![Vec::new(); cells]];
+        for (ci, conn) in conns.iter().enumerate() {
+            let s = side_slot(side_nets[conn.side_net].side);
+            for &g in &conn.path {
+                index[s][cell_of(&grid, g)].push(ci as u32);
+            }
+        }
+        // Snapshot the initial solution: negotiated rerouting may only make
+        // things worse, and the restore must be able to fall back to it.
+        RouteSession {
+            best_overflow: grid.total_overflow(),
+            saved: conns.iter().map(|c| c.path.clone()).collect(),
+            changed: vec![false; conns.len()],
+            changed_list: Vec::new(),
+            queued: vec![0; conns.len()],
+            index,
+            conns,
+            grid,
+            side_nets,
+            next_round: 0,
+        }
+    }
+
+    /// Runs rip-up-and-reroute rounds from `next_round` up to round
+    /// index `REROUTE_ITERATIONS + opts.extra_rounds` (exclusive), stopping
+    /// early when the overflow reaches 0, when a run is deeply infeasible,
+    /// or when `opts.cancel` expires. A session stopped by cancellation may
+    /// hold a half-drained round and must not be resumed; callers discard
+    /// it.
+    pub fn negotiate(&mut self, opts: &RouteOpts) {
+        let rounds = REROUTE_ITERATIONS + opts.extra_rounds as usize;
+        // Rip up and reroute overflowed connections; the reroute uses an
+        // A* maze search (windowed, scratch-backed — see `crate::maze`) so
+        // detours can leave the bounding box (pattern candidates alone
+        // cannot relieve a hotspot).
+        // One pool + one maze scratch per worker, reused across every batch
+        // of every round (the scratch is epoch-stamped, so reuse cannot leak
+        // state between searches — results are independent of which worker
+        // ran them, and of whether this call resumed a previous one).
+        let route_jobs = opts.route_jobs.max(1);
+        let batch_cap = opts.batch_size.max(1);
+        let pool = Pool::new(route_jobs);
+        let mut scratches: Vec<MazeScratch> = (0..route_jobs).map(|_| MazeScratch::new()).collect();
+        let mut batch_ids: Vec<u32> = Vec::with_capacity(batch_cap);
+        let mut batch_jobs: Vec<(Side, Point, Point)> = Vec::with_capacity(batch_cap);
+        // Rip-up worklist: ascending-id heap + per-round queued stamps, so
+        // connections are visited in the same order the full scan used.
+        let mut queue: BinaryHeap<Reverse<u32>> = BinaryHeap::new();
+        let mut dirty_cells: Vec<(u8, u32)> = Vec::new();
+        let RouteSession {
+            side_nets,
+            grid,
+            conns,
+            index,
+            queued,
+            saved,
+            changed,
+            changed_list,
+            best_overflow,
+            next_round,
+        } = self;
+        let side_nets: &[SideNet] = side_nets;
+        while *next_round < rounds {
+            let it = *next_round;
+            // Deadline watchdog: stop negotiating before the round starts.
+            // With a forced (fault-injected) token this fires before round 0
+            // at any `route_jobs`, keeping the timeout path deterministic.
             if opts.cancel.cancelled() {
+                ffet_obs::counter_add("route.cancelled", 1);
                 break;
             }
-            // Batch selection, against the *live* grid: pop candidates in
-            // ascending id order and keep the ones whose current path still
-            // crosses an overflowed cell (an earlier batch this round may
-            // have relieved it, or a stale index entry may never have
-            // crossed). Selection never depends on `route_jobs`: the queue,
-            // the stamps, and the grid are all committed state.
-            batch_ids.clear();
-            while batch_ids.len() < batch_cap {
-                let Some(Reverse(ci)) = queue.pop() else {
+            let overflow_now = grid.total_overflow();
+            if overflow_now <= 0.0 {
+                break;
+            }
+            // Deeply infeasible runs (hundreds of times the validity budget)
+            // cannot be negotiated back under 10 DRVs; stop burning maze time
+            // once that is clear — the run is reported invalid either way.
+            if it >= 2 && overflow_now > 2_000.0 {
+                break;
+            }
+            *next_round += 1;
+            let mut round_span = ffet_obs::span("route.round").attr("round", it);
+            // One grid scan prices history *and* yields the round's dirty set.
+            dirty_cells.clear();
+            grid.update_history_collect(&mut dirty_cells);
+            let round_stamp = it as u32 + 1;
+            for &(s, i) in &dirty_cells {
+                for &ci in &index[s as usize][i as usize] {
+                    if queued[ci as usize] != round_stamp {
+                        queued[ci as usize] = round_stamp;
+                        queue.push(Reverse(ci));
+                    }
+                }
+            }
+            let mut rerouted = 0usize;
+            let mut visited = 0i64;
+            let mut batch_seq = 0usize;
+            loop {
+                // Deadline watchdog, between batches: the committed state is
+                // consistent here (ripped-up batches are always re-committed
+                // before this point), so stopping mid-round is safe.
+                if opts.cancel.cancelled() {
                     break;
-                };
-                visited += 1;
-                let c = ci as usize;
-                let side = side_nets[conns[c].side_net].side;
-                if conns[c].path.iter().any(|&g| grid.is_overflowed(side, g)) {
-                    batch_ids.push(ci);
                 }
-            }
-            if batch_ids.is_empty() {
-                // The selection loop only stops short of the cap when the
-                // queue is empty — the round's worklist is drained.
-                break;
-            }
-            // Rip up the whole batch, then freeze the grid: every batch
-            // member negotiates against the same immutable snapshot, so the
-            // paths are a pure function of (snapshot, endpoints) and can be
-            // computed in any order, on any worker.
-            batch_jobs.clear();
-            for &ci in &batch_ids {
-                let c = ci as usize;
-                let side = side_nets[conns[c].side_net].side;
-                let old = std::mem::take(&mut conns[c].path);
-                commit(grid, side, &old, -1.0);
-                batch_jobs.push((side, conns[c].from, conns[c].to));
-            }
-            let frozen: &RoutingGrid = grid;
-            let batch_span = ffet_obs::span("route.batch")
-                .attr("round", it)
-                .attr("batch", batch_seq)
-                .attr("size", batch_ids.len());
-            let outcomes = pool.run_with(&mut scratches, &batch_jobs, |scratch, job| {
-                let &(side, from, to) = job;
-                let path = maze::maze_path(frozen, side, from, to, scratch)
-                    .unwrap_or_else(|| best_path(frozen, side, from, to));
-                Ok::<Vec<GCell>, std::convert::Infallible>(path)
-            });
-            batch_span.close();
-            batch_seq += 1;
-            ffet_obs::counter_add("route.batch.count", 1);
-            ffet_obs::counter_add("route.batch.size", batch_ids.len() as i64);
-            // Merge worker-side metrics (maze counters) in submission
-            // order, then re-raise the first panic with its original
-            // payload: containment at the flow level is byte-identical to a
-            // panic on the caller thread, at any worker count.
-            for o in &outcomes {
-                ffet_obs::merge_metrics(&o.trace.metrics);
-            }
-            for o in &outcomes {
-                if let Err(JobError::Panicked(msg)) = &o.result {
-                    std::panic::resume_unwind(Box::new(msg.clone()));
+                // Batch selection, against the *live* grid: pop candidates
+                // in ascending id order and keep the ones whose current path
+                // still crosses an overflowed cell (an earlier batch this
+                // round may have relieved it, or a stale index entry may
+                // never have crossed). Selection never depends on
+                // `route_jobs`: the queue, the stamps, and the grid are all
+                // committed state.
+                batch_ids.clear();
+                while batch_ids.len() < batch_cap {
+                    let Some(Reverse(ci)) = queue.pop() else {
+                        break;
+                    };
+                    visited += 1;
+                    let c = ci as usize;
+                    let side = side_nets[conns[c].side_net].side;
+                    if conns[c].path.iter().any(|&g| grid.is_overflowed(side, g)) {
+                        batch_ids.push(ci);
+                    }
                 }
-            }
-            // Commit serially, ascending id — the one and only place batch
-            // results touch shared state, in an order fixed by net ids.
-            for (outcome, &ci) in outcomes.into_iter().zip(&batch_ids) {
-                let c = ci as usize;
-                let side = side_nets[conns[c].side_net].side;
-                let path = match outcome.result {
-                    Ok(path) => path,
-                    Err(JobError::Failed(never)) => match never {},
-                    Err(JobError::Panicked(_)) => unreachable!("panics re-raised above"),
-                };
-                commit(grid, side, &path, 1.0);
-                conns[c].path = path;
-                // Index the new path, and propagate overflow it *created*
-                // to later connections in this round's visit order: only
-                // commits add demand, so these cells are the only places
-                // the dirty set can grow mid-round. Earlier ids (already
-                // visited) are excluded — the full scan would not have
-                // revisited them.
-                let s = side_of(side);
-                for &g in &conns[c].path {
-                    let i = cell_of(g);
-                    index[s][i].push(ci);
-                    if grid.is_overflowed(side, g) {
-                        for &cj in &index[s][i] {
-                            if cj as usize > c && queued[cj as usize] != round_stamp {
-                                queued[cj as usize] = round_stamp;
-                                queue.push(Reverse(cj));
+                if batch_ids.is_empty() {
+                    // The selection loop only stops short of the cap when
+                    // the queue is empty — the round's worklist is drained.
+                    break;
+                }
+                // Rip up the whole batch, then freeze the grid: every batch
+                // member negotiates against the same immutable snapshot, so
+                // the paths are a pure function of (snapshot, endpoints) and
+                // can be computed in any order, on any worker.
+                batch_jobs.clear();
+                for &ci in &batch_ids {
+                    let c = ci as usize;
+                    let side = side_nets[conns[c].side_net].side;
+                    let old = std::mem::take(&mut conns[c].path);
+                    commit(grid, side, &old, -1.0);
+                    batch_jobs.push((side, conns[c].from, conns[c].to));
+                }
+                let frozen: &RoutingGrid = grid;
+                let batch_span = ffet_obs::span("route.batch")
+                    .attr("round", it)
+                    .attr("batch", batch_seq)
+                    .attr("size", batch_ids.len());
+                let outcomes = pool.run_with(&mut scratches, &batch_jobs, |scratch, job| {
+                    let &(side, from, to) = job;
+                    let path = maze::maze_path(frozen, side, from, to, scratch)
+                        .unwrap_or_else(|| best_path(frozen, side, from, to));
+                    Ok::<Vec<GCell>, std::convert::Infallible>(path)
+                });
+                batch_span.close();
+                batch_seq += 1;
+                ffet_obs::counter_add("route.batch.count", 1);
+                ffet_obs::counter_add("route.batch.size", batch_ids.len() as i64);
+                // Merge worker-side metrics (maze counters) in submission
+                // order, then re-raise the first panic with its original
+                // payload: containment at the flow level is byte-identical
+                // to a panic on the caller thread, at any worker count.
+                for o in &outcomes {
+                    ffet_obs::merge_metrics(&o.trace.metrics);
+                }
+                for o in &outcomes {
+                    if let Err(JobError::Panicked(msg)) = &o.result {
+                        std::panic::resume_unwind(Box::new(msg.clone()));
+                    }
+                }
+                // Commit serially, ascending id — the one and only place
+                // batch results touch shared state, in an order fixed by
+                // net ids.
+                for (outcome, &ci) in outcomes.into_iter().zip(&batch_ids) {
+                    let c = ci as usize;
+                    let side = side_nets[conns[c].side_net].side;
+                    let path = match outcome.result {
+                        Ok(path) => path,
+                        Err(JobError::Failed(never)) => match never {},
+                        Err(JobError::Panicked(_)) => unreachable!("panics re-raised above"),
+                    };
+                    commit(grid, side, &path, 1.0);
+                    conns[c].path = path;
+                    // Index the new path, and propagate overflow it
+                    // *created* to later connections in this round's visit
+                    // order: only commits add demand, so these cells are the
+                    // only places the dirty set can grow mid-round. Earlier
+                    // ids (already visited) are excluded — the full scan
+                    // would not have revisited them.
+                    let s = side_slot(side);
+                    for &g in &conns[c].path {
+                        let i = cell_of(grid, g);
+                        index[s][i].push(ci);
+                        if grid.is_overflowed(side, g) {
+                            for &cj in &index[s][i] {
+                                if cj as usize > c && queued[cj as usize] != round_stamp {
+                                    queued[cj as usize] = round_stamp;
+                                    queue.push(Reverse(cj));
+                                }
                             }
                         }
                     }
+                    if !changed[c] {
+                        changed[c] = true;
+                        changed_list.push(ci);
+                    }
+                    rerouted += 1;
                 }
-                if !changed[c] {
-                    changed[c] = true;
-                    changed_list.push(ci);
-                }
-                rerouted += 1;
+                ffet_obs::counter_add("route.batch.commits", batch_ids.len() as i64);
             }
-            ffet_obs::counter_add("route.batch.commits", batch_ids.len() as i64);
+            let overflow = grid.total_overflow();
+            round_span.set_attr("rerouted", rerouted);
+            round_span.set_attr("overflow", overflow);
+            round_span.set_attr("peak", grid.peak_congestion());
+            round_span.close();
+            ffet_obs::counter_add("route.rounds", 1);
+            ffet_obs::counter_add("route.ripups", rerouted as i64);
+            ffet_obs::counter_add("route.dirty.visited", visited);
+            if overflow < *best_overflow {
+                *best_overflow = overflow;
+                for &ci in changed_list.iter() {
+                    let ci = ci as usize;
+                    saved[ci].clone_from(&conns[ci].path);
+                    changed[ci] = false;
+                }
+                changed_list.clear();
+            }
         }
+    }
+
+    /// Restores the best solution seen and emits the routed geometry plus
+    /// the final congestion gauges, on a copy of the session state: the
+    /// session itself stays resumable. Returns the result and the routed
+    /// grid.
+    #[must_use]
+    pub fn finish(
+        &self,
+        tech: &Technology,
+        pattern: RoutingPattern,
+    ) -> (RoutingResult, RoutingGrid) {
+        let side_nets = &self.side_nets;
+        let mut grid = self.grid.clone();
+        // Negotiated congestion can oscillate: restore the best solution
+        // seen. Every connection is re-committed (not just the changed
+        // ones) so the grid's demand totals go through the same
+        // remove/re-add floating-point sequence as the historical
+        // implementation — overflow and congestion metrics stay
+        // bit-identical.
+        let restore = grid.total_overflow() > self.best_overflow;
+        if restore {
+            for (conn, path) in self.conns.iter().zip(&self.saved) {
+                let side = side_nets[conn.side_net].side;
+                commit(&mut grid, side, &conn.path, -1.0);
+                commit(&mut grid, side, path, 1.0);
+            }
+        }
+        let paths =
+            self.conns
+                .iter()
+                .zip(&self.saved)
+                .map(|(conn, saved)| if restore { saved } else { &conn.path });
+
+        // Emit geometry.
+        let mut nets: Vec<RoutedNet> = side_nets
+            .iter()
+            .map(|sn| RoutedNet {
+                net: sn.net,
+                side: sn.side,
+                wires: Vec::new(),
+                vias: Vec::new(),
+            })
+            .collect();
+        let mut wirelength = 0;
+        let mut back_wirelength = 0;
+        let mut via_count = 0;
+        let mut vias_by_side = [0i64; 2];
+        for (conn, path) in self.conns.iter().zip(paths) {
+            let sn = &side_nets[conn.side_net];
+            let (wires, vias) = emit_geometry(tech, &grid, sn.side, pattern, conn, path);
+            for w in &wires {
+                wirelength += w.length();
+                if sn.side == Side::Back {
+                    back_wirelength += w.length();
+                }
+            }
+            via_count += vias.len();
+            vias_by_side[side_slot(sn.side)] += vias.len() as i64;
+            let rn = &mut nets[conn.side_net];
+            rn.wires.extend(wires);
+            rn.vias.extend(vias);
+        }
+        ffet_obs::counter_add("route.vias.front", vias_by_side[0]);
+        ffet_obs::counter_add("route.vias.back", vias_by_side[1]);
+
         let overflow = grid.total_overflow();
-        round_span.set_attr("rerouted", rerouted);
-        round_span.set_attr("overflow", overflow);
-        round_span.set_attr("peak", grid.peak_congestion());
-        round_span.close();
-        ffet_obs::counter_add("route.rounds", 1);
-        ffet_obs::counter_add("route.ripups", rerouted as i64);
-        ffet_obs::counter_add("route.dirty.visited", visited);
-        if overflow < best_overflow {
-            best_overflow = overflow;
-            for &ci in &changed_list {
-                let ci = ci as usize;
-                saved[ci].clone_from(&conns[ci].path);
-                changed[ci] = false;
-            }
-            changed_list.clear();
-        }
+        let breakdown = grid.overflow_breakdown();
+        ffet_obs::gauge_set("route.overflow.front.h", breakdown[0][0]);
+        ffet_obs::gauge_set("route.overflow.front.v", breakdown[0][1]);
+        ffet_obs::gauge_set("route.overflow.back.h", breakdown[1][0]);
+        ffet_obs::gauge_set("route.overflow.back.v", breakdown[1][1]);
+        ffet_obs::gauge_set("route.peak_congestion", grid.peak_congestion());
+        let result = RoutingResult {
+            nets,
+            overflow_tracks: overflow,
+            drv_count: overflow.ceil() as u32,
+            wirelength_nm: wirelength,
+            via_count,
+            peak_congestion: grid.peak_congestion(),
+            back_wirelength_nm: back_wirelength,
+            hot_gcells: grid.worst_gcells(12),
+        };
+        (result, grid)
     }
-    // Negotiated congestion can oscillate: restore the best solution seen.
-    // Every connection is re-committed (not just the changed ones) so the
-    // grid's demand totals go through the same remove/re-add floating-point
-    // sequence as the historical implementation — overflow and congestion
-    // metrics stay bit-identical.
-    if grid.total_overflow() > best_overflow {
-        for (ci, path) in saved.into_iter().enumerate() {
-            let side = side_nets[conns[ci].side_net].side;
-            let old = std::mem::replace(&mut conns[ci].path, path);
-            commit(grid, side, &old, -1.0);
-            commit(grid, side, &conns[ci].path, 1.0);
-        }
-    }
+}
 
-    // Emit geometry.
-    let mut nets: Vec<RoutedNet> = side_nets
-        .iter()
-        .map(|sn| RoutedNet {
-            net: sn.net,
-            side: sn.side,
-            wires: Vec::new(),
-            vias: Vec::new(),
-        })
-        .collect();
-    let mut wirelength = 0;
-    let mut back_wirelength = 0;
-    let mut via_count = 0;
-    let mut vias_by_side = [0i64; 2];
-    for conn in &conns {
-        let sn = &side_nets[conn.side_net];
-        let hpwl = conn.from.manhattan(conn.to);
-        let (wires, vias) = emit_geometry(tech, grid, sn.side, pattern, conn, hpwl);
-        for w in &wires {
-            wirelength += w.length();
-            if sn.side == Side::Back {
-                back_wirelength += w.length();
-            }
-        }
-        via_count += vias.len();
-        vias_by_side[usize::from(sn.side == Side::Back)] += vias.len() as i64;
-        let rn = &mut nets[conn.side_net];
-        rn.wires.extend(wires);
-        rn.vias.extend(vias);
-    }
-    ffet_obs::counter_add("route.vias.front", vias_by_side[0]);
-    ffet_obs::counter_add("route.vias.back", vias_by_side[1]);
+/// Index of a side in the router's per-side arrays.
+fn side_slot(side: Side) -> usize {
+    usize::from(side == Side::Back)
+}
 
-    let overflow = grid.total_overflow();
-    let breakdown = grid.overflow_breakdown();
-    ffet_obs::gauge_set("route.overflow.front.h", breakdown[0][0]);
-    ffet_obs::gauge_set("route.overflow.front.v", breakdown[0][1]);
-    ffet_obs::gauge_set("route.overflow.back.h", breakdown[1][0]);
-    ffet_obs::gauge_set("route.overflow.back.v", breakdown[1][1]);
-    ffet_obs::gauge_set("route.peak_congestion", grid.peak_congestion());
-    RoutingResult {
-        nets,
-        overflow_tracks: overflow,
-        drv_count: overflow.ceil() as u32,
-        wirelength_nm: wirelength,
-        via_count,
-        peak_congestion: grid.peak_congestion(),
-        back_wirelength_nm: back_wirelength,
-        hot_gcells: grid.worst_gcells(12),
-    }
+/// Flat index of a GCell in the router's per-side cell arrays.
+fn cell_of(grid: &RoutingGrid, g: GCell) -> usize {
+    g.y as usize * grid.cols + g.x as usize
 }
 
 /// Fires `FaultKind::RoutePanic` through the batch-worker machinery: a
@@ -465,9 +564,12 @@ pub fn route_nets_opts(
 /// outcome slot → re-raise on the routing thread). Dispatching it before
 /// the first rip-up round makes the fault fire deterministically even on
 /// landscapes that never form a congestion batch.
-fn inject_route_panic(pool: &Pool, scratches: &mut [MazeScratch]) {
+pub(crate) fn inject_route_panic(route_jobs: usize) {
+    let route_jobs = route_jobs.max(1);
+    let pool = Pool::new(route_jobs);
+    let mut scratches: Vec<MazeScratch> = (0..route_jobs).map(|_| MazeScratch::new()).collect();
     let outcomes = pool.run_with(
-        scratches,
+        &mut scratches,
         &[()],
         |_scratch, (): &()| -> Result<(), std::convert::Infallible> {
             // ffet-analyze: allow(R001) -- deliberate fault injection: this panic is the behavior under test
@@ -724,8 +826,9 @@ fn emit_geometry(
     side: Side,
     pattern: RoutingPattern,
     conn: &Connection,
-    hpwl_nm: Nm,
+    path: &[GCell],
 ) -> (Vec<DefWire>, Vec<DefVia>) {
+    let hpwl_nm = conn.from.manhattan(conn.to);
     let (h_layer, v_layer) = pick_layers(tech, side, pattern, hpwl_nm, grid.gcell_w);
     let m0 = LayerId::new(side, 0);
     let mut wires = Vec::new();
@@ -734,10 +837,10 @@ fn emit_geometry(
     // Corner points: exact pin coordinates at the ends, GCell centers only
     // for *interior* path cells (using the end cells' centers would add a
     // spurious half-GCell stub to every short connection).
-    let mut pts: Vec<Point> = Vec::with_capacity(conn.path.len() + 2);
+    let mut pts: Vec<Point> = Vec::with_capacity(path.len() + 2);
     pts.push(conn.from);
-    if conn.path.len() > 2 {
-        for &g in &conn.path[1..conn.path.len() - 1] {
+    if path.len() > 2 {
+        for &g in &path[1..path.len() - 1] {
             pts.push(grid.center(g));
         }
     }
@@ -933,6 +1036,96 @@ mod tests {
         assert!(r.back_wirelength_nm >= 10_000);
         assert!(r.wirelength_nm > r.back_wirelength_nm);
         assert!(r.nets[0].wires.iter().all(|w| w.layer.side == Side::Back));
+    }
+
+    /// The die of the seeded landscapes: 20×15 µm.
+    fn landscape_die() -> Rect {
+        Rect::new(0, 0, 20_000, 15_000)
+    }
+
+    /// `n` random 2–4-pin front nets on [`landscape_die`], from `seed`.
+    fn landscape(seed: u64, n: usize) -> Vec<SideNet> {
+        let mut rng = ffet_geom::Rng64::new(seed);
+        (0..n)
+            .map(|i| SideNet {
+                net: NetId(i as u32),
+                side: Side::Front,
+                pins: (0..rng.range_usize(2, 5))
+                    .map(|_| Point::new(rng.range_i64(0, 20_000), rng.range_i64(0, 15_000)))
+                    .collect(),
+                is_clock: false,
+            })
+            .collect()
+    }
+
+    /// Everything a routing call leaves behind: the result (floats by bit
+    /// pattern), the routed grid's overflow, and the spans and metrics.
+    fn fingerprint(r: &RoutingResult, grid: &RoutingGrid, data: &ffet_obs::PointData) -> String {
+        let spans: Vec<_> = data
+            .events
+            .iter()
+            .map(|e| (e.id, e.parent, e.depth, &e.name, &e.attrs))
+            .collect();
+        format!(
+            "{r:?}\n{:x} {:x} {:x} {:x}\n{spans:?}\n{:?}",
+            r.overflow_tracks.to_bits(),
+            r.peak_congestion.to_bits(),
+            r.wirelength_nm,
+            grid.total_overflow().to_bits(),
+            data.metrics
+        )
+    }
+
+    /// One `route_nets_opts` call at `extra_rounds = E` equals a session
+    /// stopped at the base budget, finished (which must not disturb it),
+    /// and resumed for `E` more rounds — geometry, float bits, counters,
+    /// and span names/attrs/order. Returns the rounds the base budget ran.
+    fn assert_resume_equivalent(pattern: RoutingPattern, nets: &[SideNet]) -> usize {
+        let tech = Technology::ffet_3p5t();
+        let die = landscape_die();
+        let extra = 8;
+        let opts = RouteOpts {
+            extra_rounds: extra,
+            ..RouteOpts::default()
+        };
+        let mut whole_grid = RoutingGrid::new(&tech, die, pattern);
+        let (whole, whole_data) =
+            ffet_obs::capture(|| route_nets_opts(&tech, &mut whole_grid, nets, pattern, &opts));
+
+        let ((resumed, resumed_grid, base_rounds), resumed_data) = ffet_obs::capture(|| {
+            let mut session =
+                RouteSession::new(RoutingGrid::new(&tech, die, pattern), nets.to_vec());
+            session.negotiate(&RouteOpts::default());
+            let base_rounds = session.next_round;
+            // A finish in between (attempt 0's result) emits only final
+            // gauges/counters; capture and drop them.
+            let _ = ffet_obs::capture(|| session.finish(&tech, pattern));
+            session.negotiate(&opts);
+            let (r, g) = session.finish(&tech, pattern);
+            (r, g, base_rounds)
+        });
+        assert_eq!(
+            fingerprint(&whole, &whole_grid, &whole_data),
+            fingerprint(&resumed, &resumed_grid, &resumed_data)
+        );
+        base_rounds
+    }
+
+    #[test]
+    fn resumed_negotiation_equals_one_call_at_the_larger_budget() {
+        let fm = |layers| RoutingPattern::new(layers, 0).unwrap();
+        // Budget stop: still congested after the base rounds.
+        let budget = assert_resume_equivalent(fm(2), &landscape(7, 1_100));
+        assert_eq!(budget, REROUTE_ITERATIONS, "base budget must be exhausted");
+        // Overflow-0 stop: congestion negotiated away inside the budget.
+        let early = assert_resume_equivalent(fm(2), &landscape(9, 1_060));
+        assert!(
+            (1..REROUTE_ITERATIONS).contains(&early),
+            "expected an overflow-0 stop, ran {early} rounds"
+        );
+        // Deeply infeasible: the `it >= 2 && overflow > 2000` exit.
+        let infeasible = assert_resume_equivalent(fm(1), &landscape(3, 300));
+        assert_eq!(infeasible, 2, "expected the deeply-infeasible exit");
     }
 
     #[test]
