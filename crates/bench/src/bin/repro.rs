@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! repro [--jobs N] [--route-jobs N] [--design counter|rv32] [--max-attempts N]
-//!       [--deadline SECS] [--resume] [--no-cache] <experiment>
+//!       [--deadline SECS] [--no-cache] <experiment>
 //!                      # table1 table2 fig4 fig8 fig9 fig10 fig11 table3 fig12 fig13 ablation
 //! repro all            # everything
 //! repro sanity         # one FFET + one CFET baseline run, printed verbosely
@@ -28,15 +28,11 @@
 //! `--deadline SECS` (or `FFET_DEADLINE`) arms a cooperative per-attempt
 //! watchdog whose expiry lands a `timeout(stage)` disposition.
 //!
-//! Every artifact is written atomically (tmp + rename), and every
-//! completed experiment is journaled into the `results/ckpt/` checkpoint
-//! store. `--resume` replays experiments whose journal records validate,
-//! producing artifacts byte-identical (modulo the `timing` key) to an
-//! uninterrupted run — see DESIGN.md §12.
-//!
+//! Every artifact is written atomically (tmp + rename, DESIGN.md §12).
 //! Flow stages are memoized through the content-addressed stage cache
 //! (`results/ckpt/objects/`, DESIGN §14): a warm rerun replays unchanged
-//! stages byte-identically instead of recomputing them. The cache defaults
+//! stages byte-identically instead of recomputing them, so a sweep killed
+//! mid-run is recovered by rerunning the same command. The cache defaults
 //! ON for this driver; `--no-cache` (or `FFET_STAGE_CACHE=0`) disables it,
 //! and `FFET_STAGE_CACHE=<dir>` redirects it. Hit/miss/store counters land
 //! under the `timing.cache` key of `results/metrics.json` and as
@@ -52,13 +48,13 @@
 // channel. Library crates must go through ffet-obs instead.
 #![allow(clippy::print_stdout, clippy::print_stderr)]
 
-use ffet_core::ckpt::{self, Journal, JournalFault, Store};
+use ffet_core::ckpt;
 use ffet_core::experiments::{self, DesignKind, ExpTable};
 use ffet_core::runner::{Pool, RunLog, RunLogRow};
 use ffet_core::FaultPlan;
 use ffet_obs::{LabeledPoint, RunArtifacts};
 use std::env;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::time::Instant;
 
 /// Prints the table and drops its CSV into `results/` for plotting.
@@ -135,7 +131,7 @@ const ALL: [&str; 11] = [
 fn usage() -> ! {
     eprintln!(
         "usage: repro [--jobs N] [--route-jobs N] [--design counter|rv32] [--max-attempts N] \
-         [--deadline SECS] [--resume] [--no-cache] \
+         [--deadline SECS] [--no-cache] \
          <sanity|calib|hotspots|critpath|table1|table2|fig4|fig8|fig9|fig10|fig11|table3|fig12|fig13|ablation|all>\n\
          \x20      repro trace [point]   # render one point of results/trace.jsonl"
     );
@@ -152,21 +148,6 @@ fn write_artifact(path: &str, body: &str, failed: &mut bool) {
             *failed = true;
         }
     }
-}
-
-// --- checkpoint/resume plumbing (DESIGN.md §12) ---
-
-/// Everything the sweep loop needs to journal completed experiments and to
-/// replay them on `--resume`. Absent (`None`) for non-sweep subcommands so
-/// `repro sanity`/`repro trace` never touch the journal.
-struct Ckpt {
-    store: Store,
-    journal: Journal,
-    path: PathBuf,
-    /// Fault injected into journal appends (`ckpt-torn-write`/`ckpt-stale`).
-    fault: JournalFault,
-    /// Config-signature hash; records from a different config are ignored.
-    cfg: String,
 }
 
 /// One performance-ledger record for this invocation (DESIGN §13):
@@ -332,12 +313,11 @@ fn trace_cmd(query: Option<&str>) -> i32 {
 fn main() {
     // `FFET_FAULTS` is parsed once, here: a bad spec is a usage error, not
     // a panic deep inside the first flow config.
-    let faults = FaultPlan::try_from_env().unwrap_or_else(|e| {
+    if let Err(e) = FaultPlan::try_from_env() {
         eprintln!("error: {e}");
-        std::process::exit(2)
-    });
+        std::process::exit(2);
+    }
     let mut jobs: Option<usize> = None;
-    let mut resume = false;
     let mut no_cache = false;
     let mut design = match env::var("FFET_DESIGN").as_deref() {
         Ok("counter") => DesignKind::CounterSmall,
@@ -373,7 +353,6 @@ fn main() {
                 }
                 _ => usage(),
             },
-            "--resume" => resume = true,
             "--no-cache" => no_cache = true,
             name if !name.starts_with('-') => positional.push(name.to_owned()),
             _ => usage(),
@@ -400,116 +379,25 @@ fn main() {
     let mut log = RunLog::new(pool.width());
     let mut artifacts = RunArtifacts::new(pool.width());
     let mut failed = false;
-    // The journal only exists for sweep runs; `sanity`/`calib`/`trace`
-    // must neither reset nor extend it.
-    let mut ckpt_ctx: Option<Ckpt> = if arg == "all" || ALL.contains(&arg.as_str()) {
-        let path = Path::new(ckpt::CKPT_DIR).join(ckpt::JOURNAL_FILE);
-        let fault = if faults.has_ckpt_torn() {
-            JournalFault::TornWrite
-        } else if faults.has_ckpt_stale() {
-            JournalFault::StaleHash
-        } else {
-            JournalFault::None
-        };
-        let journal = if resume {
-            let j = match Journal::recover(&path) {
-                Ok(j) => j,
-                Err(e) => {
-                    eprintln!(
-                        "warning: could not recover {}: {e}; starting fresh",
-                        path.display()
-                    );
-                    Journal::default()
-                }
+    // Only sweep runs are signed and ledgered; `sanity`/`calib`/`trace`
+    // are not.
+    let ledger_cfg =
+        (arg == "all" || ALL.contains(&arg.as_str())).then(|| ckpt::config_signature(design));
+    let run_and_emit =
+        |name: &str, log: &mut RunLog, artifacts: &mut RunArtifacts, failed: &mut bool| -> bool {
+            let t = Instant::now();
+            let Some(run) = run_one(name, design, &pool) else {
+                return false;
             };
-            if j.torn + j.corrupt > 0 {
-                eprintln!(
-                    "ckpt: discarded {} torn + {} corrupt journal record(s)",
-                    j.torn, j.corrupt
-                );
+            if let Err(e) = emit(name, &run.table) {
+                eprintln!("error: could not write results/{name}.csv: {e}");
+                *failed = true;
             }
-            eprintln!("ckpt: resuming with {} valid record(s)", j.records.len());
-            j
-        } else {
-            if let Err(e) = Journal::reset(&path) {
-                eprintln!("warning: could not reset {}: {e}", path.display());
-            }
-            Journal::default()
+            artifacts.extend(run.traces);
+            log.record_experiment(name, run.rows, t.elapsed());
+            eprintln!("[{name}: {:?}, {}]", t.elapsed(), log.summary(name));
+            true
         };
-        Some(Ckpt {
-            store: Store::new(ckpt::CKPT_DIR),
-            journal,
-            path,
-            fault,
-            cfg: ckpt::config_signature(design),
-        })
-    } else {
-        None
-    };
-    let run_and_emit = |name: &str,
-                        log: &mut RunLog,
-                        artifacts: &mut RunArtifacts,
-                        ckpt_ctx: &mut Option<Ckpt>,
-                        failed: &mut bool|
-     -> bool {
-        let t = Instant::now();
-        // Resume path: a validated journal record short-circuits the whole
-        // experiment; its payload replays the exact CSV, runlog rows and
-        // trace fragment the original run produced.
-        if let Some(c) = ckpt_ctx.as_mut() {
-            if let Some(replayed) = c
-                .journal
-                .lookup(name, &c.cfg)
-                .and_then(|rec| c.store.get(&rec.blob))
-                .and_then(|body| ckpt::parse_payload(name, &body))
-            {
-                let path = format!("results/{name}.csv");
-                match ckpt::atomic_write(Path::new(&path), replayed.csv.as_bytes()) {
-                    Ok(()) => eprintln!("wrote {path} (replayed from checkpoint)"),
-                    Err(e) => {
-                        eprintln!("error: could not write {path}: {e}");
-                        *failed = true;
-                    }
-                }
-                artifacts.extend(replayed.traces);
-                log.record_experiment(name, replayed.rows, t.elapsed());
-                eprintln!(
-                    "[{name}: {:?}, {} (replayed)]",
-                    t.elapsed(),
-                    log.summary(name)
-                );
-                return true;
-            }
-        }
-        let Some(run) = run_one(name, design, &pool) else {
-            return false;
-        };
-        if let Err(e) = emit(name, &run.table) {
-            eprintln!("error: could not write results/{name}.csv: {e}");
-            *failed = true;
-        }
-        // Journal the completed experiment before its outputs are consumed.
-        // A journal failure degrades resumability but never the run itself.
-        if let Some(c) = ckpt_ctx.as_mut() {
-            let payload = ckpt::payload_json(
-                name,
-                &run.table.to_csv(),
-                &run.rows,
-                &ckpt::trace_fragment(&run.traces),
-            );
-            let journaled = c
-                .store
-                .put(&payload)
-                .and_then(|addr| c.journal.append(&c.path, name, &c.cfg, &addr, c.fault));
-            if let Err(e) = journaled {
-                eprintln!("warning: could not journal {name}: {e}");
-            }
-        }
-        artifacts.extend(run.traces);
-        log.record_experiment(name, run.rows, t.elapsed());
-        eprintln!("[{name}: {:?}, {}]", t.elapsed(), log.summary(name));
-        true
-    };
     match arg.as_str() {
         "sanity" => sanity(),
         "calib" => calib(),
@@ -517,10 +405,10 @@ fn main() {
         "critpath" => critpath(),
         "all" => {
             for name in ALL {
-                run_and_emit(name, &mut log, &mut artifacts, &mut ckpt_ctx, &mut failed);
+                run_and_emit(name, &mut log, &mut artifacts, &mut failed);
             }
         }
-        other if run_and_emit(other, &mut log, &mut artifacts, &mut ckpt_ctx, &mut failed) => {}
+        other if run_and_emit(other, &mut log, &mut artifacts, &mut failed) => {}
         _ => usage(),
     }
     // Stage-cache hit/miss/store counts are process-global and depend on
@@ -541,9 +429,9 @@ fn main() {
     }
     // Every sweep invocation appends one record to the cross-run ledger
     // (DESIGN §13). A ledger failure degrades observability, not the run.
-    if let Some(c) = &ckpt_ctx {
+    if let Some(cfg) = &ledger_cfg {
         artifacts.wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-        let entry = ledger_entry(&arg, design, &c.cfg, &pool, &log, &artifacts);
+        let entry = ledger_entry(&arg, design, cfg, &pool, &log, &artifacts);
         let path = Path::new(ffet_obs::ledger::LEDGER_PATH);
         match ffet_obs::Ledger::append(path, &entry) {
             Ok(()) => eprintln!("appended ledger entry to {}", path.display()),

@@ -1,12 +1,14 @@
-//! Kill-and-resume differential tests for the crash-safe sweep driver.
+//! Kill-and-rerun differential tests for the crash-safe sweep driver.
 //!
 //! Each test spawns the real `repro` binary in a scratch directory, kills
-//! it mid-sweep (SIGKILL — no cleanup handlers run) or corrupts its
-//! journal via the `ckpt-torn-write`/`ckpt-stale` faults, resumes with
-//! `--resume`, and asserts the final artifacts are byte-identical to an
-//! uninterrupted run: every experiment CSV, `trace.jsonl`, and
-//! `metrics.json` modulo the `timing` key. `runlog.csv` carries wall-clock
-//! telemetry and is outside the contract (DESIGN §7, §12).
+//! it mid-sweep (SIGKILL — no cleanup handlers run), checks that the stage
+//! cache the kill left behind is intact, reruns the same command with no
+//! extra flag, and asserts the final artifacts are byte-identical to an
+//! uninterrupted run: every experiment CSV, `trace.jsonl` (structurally),
+//! and `metrics.json` modulo the `timing` key. Finished points replay
+//! from the stage cache, so the rerun reuses the killed run's work.
+//! `runlog.csv` carries wall-clock telemetry and is outside the contract
+//! (DESIGN §7, §12, §14.4).
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -14,8 +16,9 @@ use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
 
 const REPRO: &str = env!("CARGO_BIN_EXE_repro");
+const FFET: &str = env!("CARGO_BIN_EXE_ffet");
 
-/// Experiment count of `repro all` — the journal's final record count.
+/// Experiment count of `repro all` — one CSV each.
 const ALL_EXPERIMENTS: usize = 11;
 
 fn scratch(tag: &str) -> PathBuf {
@@ -25,8 +28,9 @@ fn scratch(tag: &str) -> PathBuf {
     dir
 }
 
-/// A `repro` invocation on the fast counter design, isolated in `dir`.
-fn repro(dir: &Path, args: &[&str], faults: Option<&str>) -> Command {
+/// A `repro` invocation on the fast counter design, isolated in `dir`,
+/// with the stage cache at its default (on, under `results/ckpt/objects`).
+fn repro(dir: &Path, args: &[&str]) -> Command {
     let mut cmd = Command::new(REPRO);
     cmd.current_dir(dir)
         .args(args)
@@ -36,11 +40,9 @@ fn repro(dir: &Path, args: &[&str], faults: Option<&str>) -> Command {
         .env_remove("FFET_DEADLINE")
         .env_remove("FFET_JOBS")
         .env_remove("FFET_ROUTE_JOBS")
+        .env_remove("FFET_STAGE_CACHE")
         .stdout(Stdio::null())
         .stderr(Stdio::null());
-    if let Some(f) = faults {
-        cmd.env("FFET_FAULTS", f);
-    }
     cmd
 }
 
@@ -51,10 +53,66 @@ fn run_ok(mut cmd: Command, what: &str) {
     assert!(status.success(), "{what}: exited with {status}");
 }
 
-/// Counts complete (newline-terminated) journal records.
-fn journal_lines(dir: &Path) -> usize {
-    std::fs::read(dir.join("results/ckpt/journal.jsonl"))
-        .map_or(0, |bytes| bytes.iter().filter(|&&b| b == b'\n').count())
+/// An experiment's table CSV; `runlog.csv` is wall-clock telemetry.
+fn is_experiment_csv(name: &str) -> bool {
+    name.ends_with(".csv") && name != "runlog.csv"
+}
+
+/// Counts the experiment CSVs published so far (atomic writes: a CSV is
+/// either absent or complete; `runlog.csv` is written only at the end).
+fn experiment_csvs(dir: &Path) -> usize {
+    std::fs::read_dir(dir.join("results")).map_or(0, |entries| {
+        entries
+            .filter_map(Result::ok)
+            .filter(|e| is_experiment_csv(&e.file_name().to_string_lossy()))
+            .count()
+    })
+}
+
+/// Runs `ffet cache <verb>` on `dir`'s stage cache; returns its stdout.
+fn ffet_cache(dir: &Path, verb: &str) -> String {
+    let root = dir.join("results/ckpt/objects");
+    let out = Command::new(FFET)
+        .args(["cache", verb, "--root"])
+        .arg(&root)
+        .env_remove("FFET_FAULTS")
+        .output()
+        .unwrap_or_else(|e| panic!("spawn ffet cache {verb}: {e}"));
+    let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+    assert!(
+        out.status.success(),
+        "ffet cache {verb} exited with {}: {stdout}{}",
+        out.status,
+        String::from_utf8_lossy(&out.stderr)
+    );
+    stdout
+}
+
+/// The integer printed right before `unit` in `ffet cache gc`'s summary
+/// (`removed 0 blob(s) (0 byte(s)), 0 link(s), …`).
+fn count_before(summary: &str, unit: &str) -> usize {
+    let head = &summary[..summary
+        .find(unit)
+        .unwrap_or_else(|| panic!("no {unit:?} in {summary:?}"))];
+    head.split_whitespace()
+        .last()
+        .and_then(|n| n.trim_start_matches('(').parse().ok())
+        .unwrap_or_else(|| panic!("no count before {unit:?} in {summary:?}"))
+}
+
+/// Sum of the stage-cache hit counters in `metrics.json`'s `timing.cache`.
+fn cache_hits(dir: &Path) -> i64 {
+    let text =
+        std::fs::read_to_string(dir.join("results/metrics.json")).expect("read metrics.json");
+    let json = ffet_obs::parse_json(&text).expect("valid metrics.json");
+    match json.get("timing").and_then(|t| t.get("cache")) {
+        Some(ffet_obs::Json::Obj(pairs)) => pairs
+            .iter()
+            .filter(|(k, _)| k.starts_with("cache.hit."))
+            .filter_map(|(_, v)| v.as_i64())
+            .sum(),
+        _ => 0,
+    }
 }
 
 /// Every artifact under the byte-identity contract: the experiment CSVs.
@@ -66,16 +124,16 @@ fn contract_artifacts(dir: &Path) -> BTreeMap<String, Vec<u8>> {
     for entry in std::fs::read_dir(&results).expect("read results dir") {
         let entry = entry.expect("dir entry");
         let name = entry.file_name().to_string_lossy().into_owned();
-        if name.ends_with(".csv") && name != "runlog.csv" {
+        if is_experiment_csv(&name) {
             out.insert(name, std::fs::read(entry.path()).expect("read artifact"));
         }
     }
     out
 }
 
-fn assert_bytes_identical(reference: &Path, resumed: &Path, what: &str) {
+fn assert_bytes_identical(reference: &Path, rerun: &Path, what: &str) {
     let want = contract_artifacts(reference);
-    let got = contract_artifacts(resumed);
+    let got = contract_artifacts(rerun);
     assert_eq!(
         want.keys().collect::<Vec<_>>(),
         got.keys().collect::<Vec<_>>(),
@@ -94,7 +152,7 @@ fn assert_bytes_identical(reference: &Path, resumed: &Path, what: &str) {
             std::fs::read_to_string(dir.join("results/metrics.json")).expect("read metrics.json");
         ffet_obs::strip_timing(&text).expect("valid metrics.json")
     };
-    assert_eq!(strip(reference), strip(resumed), "{what}: metrics diverged");
+    assert_eq!(strip(reference), strip(rerun), "{what}: metrics diverged");
     // Span lines carry wall-clock timings, so a recomputed experiment's
     // trace bytes legitimately differ from a separate reference run's.
     // The structural comparator (`ffet_obs::trace::diff`) checks exactly
@@ -105,8 +163,8 @@ fn assert_bytes_identical(reference: &Path, resumed: &Path, what: &str) {
         ffet_obs::validate_trace(&text).expect("trace schema is valid");
         text
     };
-    let diffs = ffet_obs::trace::diff::diff_traces(&trace(reference), &trace(resumed))
-        .expect("traces parse");
+    let diffs =
+        ffet_obs::trace::diff::diff_traces(&trace(reference), &trace(rerun)).expect("traces parse");
     assert!(
         diffs.is_empty(),
         "{what}: traces structurally diverged:\n{}",
@@ -114,30 +172,30 @@ fn assert_bytes_identical(reference: &Path, resumed: &Path, what: &str) {
     );
 }
 
-/// Runs `repro --jobs <kill_jobs> all`, SIGKILLs it once `min_records`
-/// experiments are journaled, then resumes with `--jobs <resume_jobs>`.
-fn kill_and_resume(tag: &str, kill_jobs: &str, resume_jobs: &str) {
+/// Runs `repro --jobs <kill_jobs> all`, SIGKILLs it once four experiment
+/// CSVs exist, checks the stage cache it left behind, then reruns the same
+/// sweep with `--jobs <rerun_jobs>` and no other change.
+fn kill_and_rerun(tag: &str, kill_jobs: &str, rerun_jobs: &str) {
     let reference = scratch(&format!("{tag}-ref"));
     run_ok(
-        repro(&reference, &["--jobs", "4", "all"], None),
+        repro(&reference, &["--jobs", "4", "all"]),
         "uninterrupted reference run",
     );
-    assert_eq!(journal_lines(&reference), ALL_EXPERIMENTS);
+    assert_eq!(experiment_csvs(&reference), ALL_EXPERIMENTS);
 
     let victim = scratch(&format!("{tag}-victim"));
-    let mut child = repro(&victim, &["--jobs", kill_jobs, "all"], None)
+    let mut child = repro(&victim, &["--jobs", kill_jobs, "all"])
         .spawn()
         .expect("spawn victim run");
-    // Kill after a few experiments are journaled but (on any plausible
-    // machine) well before the sweep finishes. If the sweep somehow
-    // finishes first, the resume below degenerates to a full replay —
-    // still a valid (if weaker) check of the same contract.
+    // Kill after the first flow experiment (fig8, after three analytic
+    // tables) has finished but (on any plausible machine) well before the
+    // sweep does.
     let deadline = Instant::now() + Duration::from_secs(300);
     loop {
-        if journal_lines(&victim) >= 4 || child.try_wait().expect("try_wait").is_some() {
+        if experiment_csvs(&victim) >= 4 || child.try_wait().expect("try_wait").is_some() {
             break;
         }
-        assert!(Instant::now() < deadline, "victim made no journal progress");
+        assert!(Instant::now() < deadline, "victim published no CSVs");
         std::thread::sleep(Duration::from_millis(5));
     }
     let killed_mid_sweep = child.try_wait().expect("try_wait").is_none();
@@ -145,18 +203,35 @@ fn kill_and_resume(tag: &str, kill_jobs: &str, resume_jobs: &str) {
     let _ = child.wait();
     assert!(
         killed_mid_sweep,
-        "sweep finished before the kill; lower the record threshold"
+        "sweep finished before the kill; lower the CSV threshold"
     );
-    let journaled_at_kill = journal_lines(&victim);
-    assert!(journaled_at_kill >= 4, "kill raced journaling");
+    let published_at_kill = experiment_csvs(&victim);
+    assert!(
+        (4..ALL_EXPERIMENTS).contains(&published_at_kill),
+        "kill raced publishing: {published_at_kill} CSVs"
+    );
+
+    // The kill left no corrupt blob and no dangling link: every blob and
+    // every link is published by rename, blob first. A kill between the
+    // two renames leaves at most one unlinked (never looked-up) blob per
+    // worker, which gc may reclaim; it may also remove `*.tmp` orphans.
+    ffet_cache(&victim, "verify");
+    let gc = ffet_cache(&victim, "gc");
+    assert_eq!(count_before(&gc, "link(s)"), 0, "gc removed links: {gc}");
+    let workers: usize = kill_jobs.parse().expect("numeric --jobs");
+    assert!(
+        count_before(&gc, "blob(s) (") <= workers,
+        "gc removed more blobs than stores could be in flight: {gc}"
+    );
 
     run_ok(
-        repro(&victim, &["--jobs", resume_jobs, "--resume", "all"], None),
-        "resumed run",
+        repro(&victim, &["--jobs", rerun_jobs, "all"]),
+        "rerun after the kill",
     );
-    // The resume replayed the journaled prefix and recomputed (and
-    // journaled) the rest.
-    assert_eq!(journal_lines(&victim), ALL_EXPERIMENTS);
+    assert!(
+        cache_hits(&victim) > 0,
+        "the rerun recomputed everything instead of replaying the killed run's stages"
+    );
     assert_bytes_identical(&reference, &victim, tag);
 
     let _ = std::fs::remove_dir_all(&reference);
@@ -165,88 +240,14 @@ fn kill_and_resume(tag: &str, kill_jobs: &str, resume_jobs: &str) {
 
 #[test]
 fn kill_and_resume_is_byte_identical_across_widths() {
-    // Kill a wide run, resume narrow: also proves journal records written
-    // under FFET_JOBS=4 replay under FFET_JOBS=1.
-    kill_and_resume("wide-narrow", "4", "1");
+    // Kill a wide run, rerun narrow: also proves stages cached under
+    // FFET_JOBS=4 replay under FFET_JOBS=1.
+    kill_and_rerun("wide-narrow", "4", "1");
 }
 
 /// The mirror-image width pairing; CI runs it via `--include-ignored`.
 #[test]
-#[ignore = "slow second kill-resume cycle; CI runs it with --include-ignored"]
+#[ignore = "slow second kill-rerun cycle; CI runs it with --include-ignored"]
 fn kill_and_resume_narrow_to_wide() {
-    kill_and_resume("narrow-wide", "1", "4");
-}
-
-/// `ckpt-torn-write` truncates every journal append mid-line — the on-disk
-/// shape of a SIGKILL landing inside the `write(2)` itself. Recovery must
-/// discard the torn garbage and recompute, landing identical artifacts.
-#[test]
-fn torn_journal_appends_recover_to_identical_artifacts() {
-    let reference = scratch("torn-ref");
-    run_ok(
-        repro(&reference, &["--jobs", "2", "fig11"], None),
-        "reference fig11",
-    );
-
-    let victim = scratch("torn-victim");
-    run_ok(
-        repro(&victim, &["--jobs", "2", "fig11"], Some("ckpt-torn-write")),
-        "fig11 with torn journal appends",
-    );
-    assert_eq!(
-        journal_lines(&victim),
-        0,
-        "every record was torn mid-append"
-    );
-    // Same fault env on resume (the fault plan is part of the config
-    // signature): the torn record validates nothing, so the experiment is
-    // recomputed — and the ckpt faults are flow-neutral, so the artifacts
-    // still match a fault-free run byte-for-byte.
-    run_ok(
-        repro(
-            &victim,
-            &["--jobs", "2", "--resume", "fig11"],
-            Some("ckpt-torn-write"),
-        ),
-        "resume over torn journal",
-    );
-    assert_bytes_identical(&reference, &victim, "torn-write");
-
-    let _ = std::fs::remove_dir_all(&reference);
-    let _ = std::fs::remove_dir_all(&victim);
-}
-
-/// `ckpt-stale` corrupts the record checksum: the journal line is intact
-/// but fails validation, so resume must treat it (and everything after
-/// it) as garbage and recompute.
-#[test]
-fn stale_journal_records_are_discarded_on_resume() {
-    let reference = scratch("stale-ref");
-    run_ok(
-        repro(&reference, &["--jobs", "2", "fig11"], None),
-        "reference fig11",
-    );
-
-    let victim = scratch("stale-victim");
-    run_ok(
-        repro(&victim, &["--jobs", "2", "fig11"], Some("ckpt-stale")),
-        "fig11 with stale journal records",
-    );
-    assert_eq!(
-        journal_lines(&victim),
-        1,
-        "the stale record is complete on disk, just invalid"
-    );
-    run_ok(
-        repro(
-            &victim,
-            &["--jobs", "2", "--resume", "fig11"],
-            Some("ckpt-stale"),
-        ),
-        "resume over stale journal",
-    );
-    assert_bytes_identical(&reference, &victim, "ckpt-stale");
-
-    let _ = std::fs::remove_dir_all(&reference);
-    let _ = std::fs::remove_dir_all(&victim);
+    kill_and_rerun("narrow-wide", "1", "4");
 }

@@ -56,4 +56,10 @@ fn bogus_fault_spec_exits_2_with_the_parse_message() {
     assert_usage_error(&out, "repro", "FFET_FAULTS: bad fault window");
     let out = run(FFET, &["cache", "stats"], "bogus", "ffet-bogus");
     assert_usage_error(&out, "ffet", "FFET_FAULTS: unknown fault \"bogus\"");
+    // A spec naming a retired kind is rejected like any unknown one, never
+    // silently ignored.
+    let out = run(REPRO, &["--no-cache", "fig9"], "ckpt-stale", "repro-ckpt");
+    assert_usage_error(&out, "repro", "FFET_FAULTS: unknown fault \"ckpt-stale\"");
+    let out = run(FFET, &["cache", "stats"], "ckpt-stale", "ffet-ckpt");
+    assert_usage_error(&out, "ffet", "FFET_FAULTS: unknown fault \"ckpt-stale\"");
 }

@@ -139,7 +139,7 @@ pub enum FaultKind {
     /// ladder sees the same disposition as [`FaultKind::StagePanic`] at
     /// any `route_jobs`.
     RoutePanic,
-    // --- checkpoint/watchdog corruptions ---
+    // --- watchdog corruptions ---
     /// Force the deadline watchdog to expire at the named stage: the run
     /// sees an already-cancelled token and lands a deterministic
     /// `timeout(stage)` disposition (`FlowError::Timeout`), which the
@@ -147,14 +147,6 @@ pub enum FaultKind {
     /// a real `FFET_DEADLINE` expiry this is bit-reproducible at any
     /// `FFET_JOBS` × `FFET_ROUTE_JOBS`.
     StageTimeout(FlowStage),
-    /// Tear every journal append in the `repro` driver (truncated record,
-    /// no trailing newline) — the on-disk shape of a kill mid-append.
-    /// `Journal::recover` must discard the torn tail and `--resume` must
-    /// recompute the affected experiments.
-    CkptTornWrite,
-    /// Corrupt the checksum of every journal append — silent corruption
-    /// that `Journal::recover` must detect and discard.
-    CkptStale,
 }
 
 /// One fault plus its activity window.
@@ -293,20 +285,6 @@ impl FaultPlan {
         })
     }
 
-    /// Whether an active fault tears journal appends (consumed by the
-    /// `repro` driver's checkpoint journal).
-    #[must_use]
-    pub fn has_ckpt_torn(&self) -> bool {
-        self.active().any(|f| f.kind == FaultKind::CkptTornWrite)
-    }
-
-    /// Whether an active fault corrupts journal checksums (consumed by the
-    /// `repro` driver's checkpoint journal).
-    #[must_use]
-    pub fn has_ckpt_stale(&self) -> bool {
-        self.active().any(|f| f.kind == FaultKind::CkptStale)
-    }
-
     /// Panics when an active [`FaultKind::StagePanic`] names `stage`.
     pub fn maybe_panic(&self, stage: FlowStage) {
         if self
@@ -392,8 +370,6 @@ fn kind_from_name(name: &str) -> Option<FaultKind> {
         "timeout-synth" => FaultKind::StageTimeout(FlowStage::Synth),
         "timeout-merge" => FaultKind::StageTimeout(FlowStage::Merge),
         "timeout-signoff" => FaultKind::StageTimeout(FlowStage::Signoff),
-        "ckpt-torn-write" => FaultKind::CkptTornWrite,
-        "ckpt-stale" => FaultKind::CkptStale,
         _ => return None,
     })
 }
@@ -621,7 +597,6 @@ fn apply_pnr_fault(
         FaultKind::StagePanic(_) => {}   // handled at stage boundaries
         FaultKind::RoutePanic => {}      // armed via PnrConfig::route_panic before P&R runs
         FaultKind::StageTimeout(_) => {} // armed as a forced cancel token before the flow runs
-        FaultKind::CkptTornWrite | FaultKind::CkptStale => {} // consumed by the repro journal
         _ => {}                          // merged-DEF faults are applied in apply_def_fault
     }
 }
@@ -880,12 +855,9 @@ mod tests {
     }
 
     #[test]
-    fn ckpt_and_timeout_faults_parse_and_gate_on_attempt() {
-        let mut plan =
-            FaultPlan::parse("stage-timeout@1,ckpt-torn-write,ckpt-stale").expect("parses");
+    fn timeout_faults_parse_and_gate_on_attempt() {
+        let mut plan = FaultPlan::parse("stage-timeout@1").expect("parses");
         assert_eq!(plan.timeout_stage(), Some(FlowStage::Pnr));
-        assert!(plan.has_ckpt_torn());
-        assert!(plan.has_ckpt_stale());
         // The window gates the timeout off from attempt 1 on — the ladder's
         // first retry no longer expires.
         plan.attempt = 1;
@@ -896,8 +868,6 @@ mod tests {
                 .timeout_stage(),
             Some(FlowStage::Synth)
         );
-        assert!(!FaultPlan::default().has_ckpt_torn());
-        assert!(!FaultPlan::default().has_ckpt_stale());
     }
 
     #[test]

@@ -35,12 +35,12 @@ use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
-use crate::ckpt::{atomic_write_unique, fnv1a64, hash_hex};
+use crate::ckpt::atomic_write_unique;
 use crate::flow::FlowConfig;
 use ffet_geom::{Orientation, Point, Rect};
 use ffet_lefdef::{Def, DefComponent, DefConnection, DefNet, DefSpecialNet, DefVia, DefWire};
 use ffet_netlist::{InstId, Instance, Net, NetId, Netlist, PinRef, Port, PortDirection};
-use ffet_obs::{AttrValue, Histogram, MetricsSnapshot, PointData, SpanEvent};
+use ffet_obs::{fnv1a64, hash_hex, AttrValue, Histogram, MetricsSnapshot, PointData, SpanEvent};
 use ffet_pnr::{
     ClockTree, Floorplan, Placement, PnrResult, PowerPlan, RoutedNet, RoutingResult, Row, TapCell,
 };

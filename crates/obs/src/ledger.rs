@@ -11,19 +11,17 @@
 //!
 //! ## Record format
 //!
-//! One record per line, in the same envelope as the checkpoint journal
-//! (DESIGN §12.2):
+//! One checksummed record per line (DESIGN §13.1):
 //!
 //! ```text
 //! v1 <crc16hex> {"v":1,"kind":…,"key":…,"design":…,"cfg":…,"digest":…,
 //!                "counters":{…},"gauges":{…},"timing":{…}}\n
 //! ```
 //!
-//! The checksum is [`fnv1a64`] over the JSON body. Unlike the journal —
-//! whose records form a replay *order*, so a corrupt line invalidates its
-//! whole suffix — ledger entries are independent observations: a torn or
-//! corrupt line is skipped (and counted) and every later valid line is
-//! kept. Loading never rewrites the file.
+//! The checksum is [`fnv1a64`] over the JSON body. Ledger entries are
+//! independent observations: a torn or corrupt line is skipped (and
+//! counted) and every later valid line is kept. Loading never rewrites the
+//! file.
 //!
 //! ## Determinism contract (DESIGN §13)
 //!
@@ -44,7 +42,7 @@ use crate::metrics::MetricsSnapshot;
 /// Ledger schema version; bumped on any incompatible record change.
 pub const LEDGER_VERSION: i64 = 1;
 
-/// Version tag prefixing every record line (shared with the ckpt journal).
+/// Version tag prefixing every record line.
 pub const LEDGER_LINE_TAG: &str = "v1";
 
 /// Default ledger file, relative to the run's working directory.
@@ -52,8 +50,8 @@ pub const LEDGER_PATH: &str = "results/ledger/ledger.jsonl";
 
 /// FNV-1a 64-bit hash — the workspace's content-addressing and record
 /// checksum primitive. Stable across platforms and releases by
-/// construction (pure integer arithmetic over bytes). `ffet_core::ckpt`
-/// re-exports this as its journal/store hash.
+/// construction (pure integer arithmetic over bytes). The stage cache
+/// addresses its blobs with it.
 #[must_use]
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
@@ -324,9 +322,9 @@ pub struct Ledger {
 impl Ledger {
     /// Loads the ledger at `path`. A missing file loads as empty. Invalid
     /// lines are *skipped*, never repaired in place: ledger entries are
-    /// independent observations (unlike journal records, which form a
-    /// replay order), so one bad line must not discard the history after
-    /// it — and an observability artifact should never rewrite itself.
+    /// independent observations, so one bad line must not discard the
+    /// history after it — and an observability artifact should never
+    /// rewrite itself.
     pub fn load(path: &Path) -> std::io::Result<Ledger> {
         let text = match fs::read_to_string(path) {
             Ok(t) => t,
@@ -354,9 +352,9 @@ impl Ledger {
     }
 
     /// Appends one record to the ledger at `path`, creating parents as
-    /// needed. The append is a single `write_all` of one line — the same
-    /// posture as the checkpoint journal: a mid-append kill leaves at
-    /// worst a torn final line, which [`Ledger::load`] skips.
+    /// needed. The append is a single `write_all` of one line, so a
+    /// mid-append kill leaves at worst a torn final line, which
+    /// [`Ledger::load`] skips.
     pub fn append(path: &Path, entry: &LedgerEntry) -> std::io::Result<()> {
         if let Some(parent) = path.parent() {
             if !parent.as_os_str().is_empty() {
