@@ -6,6 +6,7 @@
 //! | D002 | determinism | no unsorted iteration over hash maps in artifact-producing crates |
 //! | D003 | determinism | no `Instant::now`/`SystemTime` outside the timing modules |
 //! | D004 | determinism | no thread spawning outside the `ffet-pool` work-stealing pool |
+//! | D005 | determinism | no environment reads or writes (`env::var`/`set_var`/…) outside the bench/CLI edge |
 //! | R001 | robustness  | no `unwrap()`/`expect()`/`panic!` outside tests (baseline-frozen) |
 //! | R002 | robustness  | no direct `fs::write`/`File::create` — artifacts go through `ckpt::atomic_write` |
 //! | M001 | observability | metric/span names ⇆ DESIGN §9 catalog, both directions |
@@ -28,6 +29,13 @@ const ARTIFACT_CRATES: &[&str] = &["lefdef", "sta", "rcx", "verify", "core", "ob
 /// Crates exempt from the pipeline rules (D001, R001): the bench/CLI
 /// harness. The analyzer itself is excluded from the walk entirely.
 const NON_PIPELINE_CRATES: &[&str] = &["bench"];
+
+/// Crates allowed to touch the process environment (D005): the bench/CLI
+/// edge, which parses every run knob once into a `RunEnv`.
+const ENV_CRATES: &[&str] = &["bench"];
+
+/// `std::env` functions that read or write variables (D005).
+const ENV_FNS: &[&str] = &["var", "var_os", "vars", "vars_os", "set_var", "remove_var"];
 
 /// Crates allowed to read wall clocks (D003): the observability crate and
 /// the bench harness — timing is their purpose.
@@ -122,6 +130,9 @@ pub fn scan_tokens(relpath: &str, toks: &[Tok]) -> (Vec<Finding>, Vec<MetricUse>
     }
     if !spawn_ok {
         d004(relpath, toks, &mut findings);
+    }
+    if !ENV_CRATES.contains(&krate) {
+        d005(relpath, toks, &mut findings);
     }
     r002(relpath, toks, &mut findings);
     collect_metric_uses(toks, &mut uses);
@@ -409,6 +420,33 @@ fn d004(path: &str, toks: &[Tok], out: &mut Vec<Finding>) {
                 format!(
                     "`thread::{m}` outside ffet-pool: all parallelism goes through \
                      the deterministic work-stealing pool"
+                ),
+            ));
+        }
+    }
+}
+
+/// D005: environment access outside the CLI edge. A library that reads
+/// `FFET_*` variables makes its results depend on ambient state no ledger
+/// signature records; drivers parse the knobs once and pass them down.
+fn d005(path: &str, toks: &[Tok], out: &mut Vec<Finding>) {
+    for (i, t) in toks.iter().enumerate() {
+        if t.is_ident("env")
+            && matches!(toks.get(i + 1), Some(t) if t.is_punct(':'))
+            && matches!(toks.get(i + 2), Some(t) if t.is_punct(':'))
+            && matches!(
+                toks.get(i + 3).and_then(Tok::ident),
+                Some(f) if ENV_FNS.contains(&f)
+            )
+        {
+            let f = toks[i + 3].ident().unwrap_or("var");
+            out.push(Finding::new(
+                path,
+                t.line,
+                "D005",
+                format!(
+                    "`env::{f}` outside the bench/CLI edge: parse run knobs once in the \
+                     driver and pass them down (`RunEnv`)"
                 ),
             ));
         }
@@ -739,6 +777,39 @@ mod tests {
         assert!(scan(
             "crates/pool/src/lib.rs",
             "fn f() { std::thread::scope(|s| {}); }",
+        )
+        .is_empty());
+    }
+
+    // ---- D005 ----------------------------------------------------------
+
+    #[test]
+    fn d005_flags_env_access_in_library_crates() {
+        let f = scan(
+            "crates/core/src/x.rs",
+            "fn f() { let v = std::env::var(\"FFET_JOBS\"); std::env::set_var(\"A\", \"1\"); }",
+        );
+        assert_eq!(codes(&f), vec!["D005", "D005"]);
+        let f = scan(
+            "crates/pool/src/x.rs",
+            "use std::env::var_os;\nfn f() { env::remove_var(\"A\"); }",
+        );
+        assert_eq!(codes(&f), vec!["D005", "D005"]);
+        assert_eq!(f[1].line, 2);
+    }
+
+    #[test]
+    fn d005_allows_bench_tests_and_other_env_items() {
+        let src = "fn f() { let v = std::env::var(\"FFET_JOBS\"); }";
+        assert!(scan("crates/bench/src/cli.rs", src).is_empty());
+        assert!(scan(
+            "crates/core/src/x.rs",
+            "#[cfg(test)]\nmod tests { fn t() { std::env::set_var(\"A\", \"1\"); } }",
+        )
+        .is_empty());
+        assert!(scan(
+            "crates/core/src/x.rs",
+            "fn f() { let d = std::env::temp_dir(); let a = std::env::args(); let v = var(1); }",
         )
         .is_empty());
     }

@@ -8,6 +8,7 @@
 use ffet_bench::BenchGroup;
 use ffet_core::experiments::{self, DesignKind};
 use ffet_core::runner::Pool;
+use ffet_core::RunEnv;
 use std::time::Instant;
 
 fn main() {
@@ -15,12 +16,14 @@ fn main() {
     let mut group = BenchGroup::new("doe_runner");
     group.sample_size(5);
 
-    group.bench_function("fig9_counter_jobs1", || {
-        experiments::fig9_on(DesignKind::CounterSmall, &Pool::new(1))
-    });
-    group.bench_function("fig9_counter_jobs4", || {
-        experiments::fig9_on(DesignKind::CounterSmall, &Pool::new(4))
-    });
+    // Only the pool width varies; the router stays serial in both legs.
+    let serial = RunEnv::new(DesignKind::CounterSmall);
+    let wide = RunEnv {
+        jobs: 4,
+        ..serial.clone()
+    };
+    group.bench_function("fig9_counter_jobs1", || experiments::fig9(&serial));
+    group.bench_function("fig9_counter_jobs4", || experiments::fig9(&wide));
 
     // Raw engine overhead: 256 no-op jobs through the injector + stealing
     // machinery. This bounds the fixed cost a sweep point pays for being

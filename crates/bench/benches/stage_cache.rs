@@ -9,7 +9,7 @@
 use ffet_bench::BenchGroup;
 use ffet_core::ckpt;
 use ffet_core::experiments::{self, DesignKind};
-use ffet_core::runner::Pool;
+use ffet_core::RunEnv;
 use std::time::{Duration, Instant};
 
 fn ms(d: Duration) -> f64 {
@@ -31,22 +31,21 @@ fn main() {
     let t0 = Instant::now();
     let scratch = std::env::temp_dir().join(format!("ffet-bench-scache-{}", std::process::id()));
     let objects = scratch.join("objects");
-    // Configs are built deep inside the experiment runners and read the
-    // cache root from the env; set it before any flow runs (the bench is
-    // single-threaded here, pool workers only read configs handed to them).
-    std::env::set_var(ffet_core::STAGE_CACHE_ENV, &objects);
-    let pool = Pool::new(4);
+    let run = RunEnv {
+        stage_cache: Some(objects.clone()),
+        ..RunEnv::new(DesignKind::CounterSmall).with_jobs(4)
+    };
 
     // Instrumented single runs first: a cold run's misses count the stage
     // invocations it executed; the warm rerun's misses count what the
     // cache could not absorb. The ≥30% reduction claim is about these
     // counts, not wall clock.
     ffet_obs::cache_stats_reset();
-    let _ = experiments::fig11_on(DesignKind::CounterSmall, &pool);
+    let _ = experiments::fig11(&run);
     let cold_execs = stat_total("miss");
     let cold_hits = stat_total("hit");
     ffet_obs::cache_stats_reset();
-    let _ = experiments::fig11_on(DesignKind::CounterSmall, &pool);
+    let _ = experiments::fig11(&run);
     let warm_execs = stat_total("miss");
     let warm_hits = stat_total("hit");
     let reduction_pct = if cold_execs > 0 {
@@ -62,14 +61,13 @@ fn main() {
         // Wiping the store inside the closure keeps every sample cold;
         // the removal itself is microseconds against a sweep.
         let _ = std::fs::remove_dir_all(&objects);
-        experiments::fig11_on(DesignKind::CounterSmall, &pool).means
+        experiments::fig11(&run).means
     });
 
     // The harness's untimed warmup call primes the store, so every timed
     // sample replays from a fully warm cache.
-    let warm_med = group.bench_function_timed("fig11_counter_warm", || {
-        experiments::fig11_on(DesignKind::CounterSmall, &pool).means
-    });
+    let warm_med =
+        group.bench_function_timed("fig11_counter_warm", || experiments::fig11(&run).means);
     let legs = group.finish();
 
     let speedup = ms(cold_med) / ms(warm_med).max(1e-9);

@@ -414,7 +414,8 @@ fn cache_cmd(verb: &str, args: &ParsedArgs) -> i32 {
 fn main() {
     // Same startup contract as `repro`: a bad `FFET_FAULTS` spec exits 2
     // with the parse message instead of panicking later.
-    if let Err(e) = ffet_core::FaultPlan::try_from_env() {
+    let faults = ffet_bench::cli::process_env(ffet_bench::cli::FAULTS_ENV);
+    if let Err(e) = ffet_bench::cli::fault_plan(faults.as_deref()) {
         eprintln!("error: {e}");
         std::process::exit(2);
     }

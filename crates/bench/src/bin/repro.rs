@@ -9,23 +9,26 @@
 //! repro trace [point]  # render one point of results/trace.jsonl (or list points)
 //! ```
 //!
-//! Flow experiments run on the parallel DoE engine; `--jobs` (or the
-//! `FFET_JOBS` env var) sets the worker count, defaulting to the machine's
-//! available parallelism. `--route-jobs` (or `FFET_ROUTE_JOBS`) sets the
-//! *intra-point* worker count of the router's batched rip-up rounds,
-//! defaulting to the DoE pool width. Tables and CSVs are byte-identical for
-//! every combination of both worker counts; per-job telemetry lands in
-//! `results/runlog.csv`, and every
-//! flow point's spans + metrics land in `results/trace.jsonl` and
-//! `results/metrics.json` (schema in DESIGN.md §9). `--design counter`
-//! (or `FFET_DESIGN=counter`) switches the flow experiments to the fast
-//! CounterSmall smoke design.
+//! The run's knobs are parsed once, at startup, into one
+//! [`ffet_core::RunEnv`] ([`ffet_bench::cli`]): each flag or, when the flag
+//! is absent, its `FFET_*` alias (README has the table). A malformed value
+//! is a usage error (exit 2). The experiments come from the one registry
+//! [`experiments::EXPERIMENTS`], which also fixes the `all` order.
+//!
+//! Flow experiments run on the parallel DoE engine; `--jobs` sets the
+//! worker count, defaulting to the machine's available parallelism.
+//! `--route-jobs` sets the *intra-point* worker count of the router's
+//! batched rip-up rounds, defaulting to the pool width. Tables and CSVs are
+//! byte-identical for every combination of both worker counts; per-job
+//! telemetry lands in `results/runlog.csv`, and every flow point's spans +
+//! metrics land in `results/trace.jsonl` and `results/metrics.json` (schema
+//! in DESIGN.md §9). `--design counter` switches the flow experiments to
+//! the fast CounterSmall smoke design.
 //!
 //! Every flow point runs through the staged recovery ladder of
-//! [`ffet_core::run_flow_resilient`]; `--max-attempts` (or the
-//! `FFET_MAX_ATTEMPTS` env var) bounds the attempts per point, and the
-//! `FFET_FAULTS` env var injects deterministic faults (see DESIGN.md §8).
-//! `--deadline SECS` (or `FFET_DEADLINE`) arms a cooperative per-attempt
+//! [`ffet_core::run_flow_resilient`]; `--max-attempts` bounds the attempts
+//! per point, and the `FFET_FAULTS` env var injects deterministic faults
+//! (see DESIGN.md §8). `--deadline SECS` arms a cooperative per-attempt
 //! watchdog whose expiry lands a `timeout(stage)` disposition.
 //!
 //! Every artifact is written atomically (tmp + rename, DESIGN.md §12).
@@ -48,12 +51,12 @@
 // channel. Library crates must go through ffet-obs instead.
 #![allow(clippy::print_stdout, clippy::print_stderr)]
 
+use ffet_bench::cli;
 use ffet_core::ckpt;
-use ffet_core::experiments::{self, DesignKind, ExpTable};
-use ffet_core::runner::{Pool, RunLog, RunLogRow};
-use ffet_core::FaultPlan;
-use ffet_obs::{LabeledPoint, RunArtifacts};
-use std::env;
+use ffet_core::experiments::{self, ExpTable};
+use ffet_core::runner::RunLog;
+use ffet_core::RunEnv;
+use ffet_obs::RunArtifacts;
 use std::path::Path;
 use std::time::Instant;
 
@@ -68,72 +71,13 @@ fn emit(name: &str, table: &ExpTable) -> std::io::Result<()> {
     Ok(())
 }
 
-/// One experiment's outputs: the printable/plottable table plus the DoE
-/// engine's per-job telemetry and per-point traces (both empty for the
-/// analytic tables).
-struct ExpRun {
-    table: ExpTable,
-    rows: Vec<RunLogRow>,
-    traces: Vec<LabeledPoint>,
-}
-
-fn run_one(name: &str, design: DesignKind, pool: &Pool) -> Option<ExpRun> {
-    let (table, rows, traces) = match name {
-        "table1" => (experiments::table1().table, Vec::new(), Vec::new()),
-        "table2" => (experiments::table2().table, Vec::new(), Vec::new()),
-        "fig4" => (experiments::fig4().table, Vec::new(), Vec::new()),
-        "fig8" => {
-            let r = experiments::fig8_on(design, pool);
-            (r.table, r.runlog, r.traces)
-        }
-        "fig9" => {
-            let r = experiments::fig9_on(design, pool);
-            (r.table, r.runlog, r.traces)
-        }
-        "fig10" => {
-            let r = experiments::fig10_on(design, pool);
-            (r.table, r.runlog, r.traces)
-        }
-        "fig11" => {
-            let r = experiments::fig11_on(design, pool);
-            (r.table, r.runlog, r.traces)
-        }
-        "table3" => {
-            let r = experiments::table3_on(design, pool);
-            (r.table, r.runlog, r.traces)
-        }
-        "fig12" => {
-            let r = experiments::fig12_on(design, pool);
-            (r.table, r.runlog, r.traces)
-        }
-        "fig13" => {
-            let r = experiments::fig13_on(design, pool);
-            (r.table, r.runlog, r.traces)
-        }
-        "ablation" => {
-            let r = experiments::bridging_ablation_on(design, pool);
-            (r.table, r.runlog, r.traces)
-        }
-        _ => return None,
-    };
-    Some(ExpRun {
-        table,
-        rows,
-        traces,
-    })
-}
-
-const ALL: [&str; 11] = [
-    "table1", "table2", "fig4", "fig8", "fig9", "fig10", "fig11", "table3", "fig12", "fig13",
-    "ablation",
-];
-
 fn usage() -> ! {
+    let names: Vec<&str> = experiments::EXPERIMENTS.iter().map(|&(n, _)| n).collect();
     eprintln!(
         "usage: repro [--jobs N] [--route-jobs N] [--design counter|rv32] [--max-attempts N] \
-         [--deadline SECS] [--no-cache] \
-         <sanity|calib|hotspots|critpath|table1|table2|fig4|fig8|fig9|fig10|fig11|table3|fig12|fig13|ablation|all>\n\
-         \x20      repro trace [point]   # render one point of results/trace.jsonl"
+         [--deadline SECS] [--no-cache] <sanity|{}|all>\n\
+         \x20      repro trace [point]   # render one point of results/trace.jsonl",
+        names.join("|")
     );
     std::process::exit(2);
 }
@@ -157,9 +101,8 @@ fn write_artifact(path: &str, body: &str, failed: &mut bool) {
 /// that `ffet perf compare`/`report` consume.
 fn ledger_entry(
     arg: &str,
-    design: DesignKind,
+    run: &RunEnv,
     cfg: &str,
-    pool: &Pool,
     log: &RunLog,
     artifacts: &RunArtifacts,
 ) -> ffet_obs::LedgerEntry {
@@ -174,47 +117,33 @@ fn ledger_entry(
     let mut entry = ffet_obs::LedgerEntry::from_metrics(
         "repro",
         arg,
-        &format!("{design:?}"),
+        &format!("{:?}", run.design),
         cfg,
         &digest,
         &artifacts.merged_metrics(),
     );
-    entry.timing.jobs = pool.width() as i64;
-    entry.timing.route_jobs = env::var(ffet_core::ROUTE_JOBS_ENV)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(pool.width() as i64);
+    entry.timing.jobs = run.jobs as i64;
+    entry.timing.route_jobs = run.route_jobs as i64;
     entry.timing.host_cores = std::thread::available_parallelism().map_or(1, |n| n.get() as i64);
     entry.timing.wall_ms = artifacts.wall_ms;
     // Aggregate per-stage wall time across every flow point that reported
     // stage telemetry.
-    let mut stages: [(&str, f64); 6] = [
-        ("synth_ms", 0.0),
-        ("pnr_ms", 0.0),
-        ("merge_ms", 0.0),
-        ("signoff_ms", 0.0),
-        ("rcx_ms", 0.0),
-        ("sta_ms", 0.0),
-    ];
-    for row in &log.rows {
-        if let Some(s) = &row.stages {
-            for (name, total) in &mut stages {
-                *total += match *name {
-                    "synth_ms" => s.synth_ms,
-                    "pnr_ms" => s.pnr_ms,
-                    "merge_ms" => s.merge_ms,
-                    "signoff_ms" => s.signoff_ms,
-                    "rcx_ms" => s.rcx_ms,
-                    _ => s.sta_ms,
-                };
-            }
-        }
+    let mut t = ffet_core::StageTimes::default();
+    for stages in log.rows.iter().filter_map(|row| row.stages.as_ref()) {
+        t.add(stages);
     }
-    entry.timing.stages = stages
-        .iter()
-        .filter(|(_, total)| *total > 0.0)
-        .map(|&(name, total)| (name.to_owned(), total))
-        .collect();
+    entry.timing.stages = [
+        ("synth_ms", t.synth_ms),
+        ("pnr_ms", t.pnr_ms),
+        ("merge_ms", t.merge_ms),
+        ("signoff_ms", t.signoff_ms),
+        ("rcx_ms", t.rcx_ms),
+        ("sta_ms", t.sta_ms),
+    ]
+    .into_iter()
+    .filter(|&(_, total)| total > 0.0)
+    .map(|(name, total)| (name.to_owned(), total))
+    .collect();
     // Per-stage cache hit-rates ride as named pairs inside `timing.stages`
     // (schema-compatible). Hit/miss counts are scheduling-dependent —
     // racing identical-prefix points may both miss — so they belong with
@@ -311,61 +240,13 @@ fn trace_cmd(query: Option<&str>) -> i32 {
 }
 
 fn main() {
-    // `FFET_FAULTS` is parsed once, here: a bad spec is a usage error, not
-    // a panic deep inside the first flow config.
-    if let Err(e) = FaultPlan::try_from_env() {
-        eprintln!("error: {e}");
-        std::process::exit(2);
-    }
-    let mut jobs: Option<usize> = None;
-    let mut no_cache = false;
-    let mut design = match env::var("FFET_DESIGN").as_deref() {
-        Ok("counter") => DesignKind::CounterSmall,
-        _ => DesignKind::Rv32,
-    };
-    let mut positional: Vec<String> = Vec::new();
-    let mut args = env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--jobs" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(n) if n >= 1 => jobs = Some(n),
-                _ => usage(),
-            },
-            "--design" => match args.next().as_deref() {
-                Some("counter") => design = DesignKind::CounterSmall,
-                Some("rv32") => design = DesignKind::Rv32,
-                _ => usage(),
-            },
-            // Configs are built from the environment deep inside the
-            // experiment runners, so the flag travels as the env var it
-            // aliases.
-            "--max-attempts" => match args.next().and_then(|v| v.parse::<u32>().ok()) {
-                Some(n) if n >= 1 => env::set_var(ffet_core::MAX_ATTEMPTS_ENV, n.to_string()),
-                _ => usage(),
-            },
-            "--route-jobs" => match args.next().and_then(|v| v.parse::<usize>().ok()) {
-                Some(n) if n >= 1 => env::set_var(ffet_core::ROUTE_JOBS_ENV, n.to_string()),
-                _ => usage(),
-            },
-            "--deadline" => match args.next().and_then(|v| v.parse::<f64>().ok()) {
-                Some(s) if s.is_finite() && s > 0.0 => {
-                    env::set_var(ffet_core::DEADLINE_ENV, s.to_string());
-                }
-                _ => usage(),
-            },
-            "--no-cache" => no_cache = true,
-            name if !name.starts_with('-') => positional.push(name.to_owned()),
-            _ => usage(),
+    let (run, positional) = match cli::parse(std::env::args().skip(1), cli::process_env) {
+        Ok(parsed) => parsed,
+        Err(e) => {
+            eprintln!("error: {e}");
+            usage();
         }
-    }
-    // The stage cache (DESIGN §14) defaults ON for this driver. Configs
-    // read the env deep inside the experiment runners, so the knob travels
-    // as the env var it aliases — set here while still single-threaded.
-    if no_cache {
-        env::set_var(ffet_core::STAGE_CACHE_ENV, "0");
-    } else if env::var(ffet_core::STAGE_CACHE_ENV).is_err() {
-        env::set_var(ffet_core::STAGE_CACHE_ENV, "1");
-    }
+    };
     let arg = positional.first().cloned().unwrap_or_else(|| "help".into());
     if arg == "trace" {
         std::process::exit(trace_cmd(positional.get(1).map(String::as_str)));
@@ -373,43 +254,33 @@ fn main() {
     if positional.len() > 1 {
         usage();
     }
-    let pool = jobs.map_or_else(Pool::from_env, Pool::new);
 
     let t0 = Instant::now();
-    let mut log = RunLog::new(pool.width());
-    let mut artifacts = RunArtifacts::new(pool.width());
+    let mut log = RunLog::new(run.jobs);
+    let mut artifacts = RunArtifacts::new(run.jobs);
     let mut failed = false;
-    // Only sweep runs are signed and ledgered; `sanity`/`calib`/`trace`
-    // are not.
-    let ledger_cfg =
-        (arg == "all" || ALL.contains(&arg.as_str())).then(|| ckpt::config_signature(design));
-    let run_and_emit =
-        |name: &str, log: &mut RunLog, artifacts: &mut RunArtifacts, failed: &mut bool| -> bool {
-            let t = Instant::now();
-            let Some(run) = run_one(name, design, &pool) else {
-                return false;
-            };
-            if let Err(e) = emit(name, &run.table) {
-                eprintln!("error: could not write results/{name}.csv: {e}");
-                *failed = true;
-            }
-            artifacts.extend(run.traces);
-            log.record_experiment(name, run.rows, t.elapsed());
-            eprintln!("[{name}: {:?}, {}]", t.elapsed(), log.summary(name));
-            true
-        };
-    match arg.as_str() {
-        "sanity" => sanity(),
-        "calib" => calib(),
-        "hotspots" => hotspots(),
-        "critpath" => critpath(),
-        "all" => {
-            for name in ALL {
-                run_and_emit(name, &mut log, &mut artifacts, &mut failed);
-            }
+    let selected: Vec<_> = experiments::EXPERIMENTS
+        .into_iter()
+        .filter(|&(name, _)| arg == "all" || arg == name)
+        .collect();
+    if selected.is_empty() && arg != "sanity" {
+        usage();
+    }
+    // Only sweep runs are signed and ledgered; `sanity`/`trace` are not.
+    let ledger_cfg = (!selected.is_empty()).then(|| ckpt::config_signature(&run));
+    if arg == "sanity" {
+        sanity(&run);
+    }
+    for (name, experiment) in selected {
+        let t = Instant::now();
+        let out = experiment(&run);
+        if let Err(e) = emit(name, &out.table) {
+            eprintln!("error: could not write results/{name}.csv: {e}");
+            failed = true;
         }
-        other if run_and_emit(other, &mut log, &mut artifacts, &mut failed) => {}
-        _ => usage(),
+        artifacts.extend(out.traces);
+        log.record_experiment(name, out.runlog, t.elapsed());
+        eprintln!("[{name}: {:?}, {}]", t.elapsed(), log.summary(name));
     }
     // Stage-cache hit/miss/store counts are process-global and depend on
     // prior disk state, so they ride in the stripped `timing` section of
@@ -431,7 +302,7 @@ fn main() {
     // (DESIGN §13). A ledger failure degrades observability, not the run.
     if let Some(cfg) = &ledger_cfg {
         artifacts.wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-        let entry = ledger_entry(&arg, design, cfg, &pool, &log, &artifacts);
+        let entry = ledger_entry(&arg, &run, cfg, &log, &artifacts);
         let path = Path::new(ffet_obs::ledger::LEDGER_PATH);
         match ffet_obs::Ledger::append(path, &entry) {
             Ok(()) => eprintln!("appended ledger entry to {}", path.display()),
@@ -444,77 +315,21 @@ fn main() {
     }
 }
 
-fn calib() {
-    use ffet_core::{designs, run_flow, FlowConfig};
-    use ffet_tech::{RoutingPattern, TechKind};
-    let configs = [
-        ("CFET-FM12", FlowConfig::baseline(TechKind::Cfet4t)),
-        ("FFET-FM12", FlowConfig::baseline(TechKind::Ffet3p5t)),
-        (
-            "FFET-12+12",
-            FlowConfig {
-                pattern: RoutingPattern::new(12, 12).expect("static"),
-                back_pin_ratio: 0.5,
-                ..FlowConfig::baseline(TechKind::Ffet3p5t)
-            },
-        ),
-    ];
-    println!("config      util  drv(route+place)  overflow  peak  wl_mm  freq  power");
-    for (label, base) in configs {
-        let library = base.build_library().expect("valid config");
-        let netlist = designs::rv32_core(&library);
-        for util in [0.60, 0.68, 0.72, 0.76, 0.80, 0.84, 0.88, 0.92] {
-            let mut rows: Vec<(u32, u32, f64, f64, f64, f64, f64)> = Vec::new();
-            for seed in [42u64, 1042, 9042] {
-                let config = FlowConfig {
-                    utilization: util,
-                    seed,
-                    ..base.clone()
-                };
-                match run_flow(&netlist, &library, &config) {
-                    Ok(o) => rows.push((
-                        o.pnr.routing.drv_count,
-                        o.pnr.placement.violations,
-                        o.pnr.routing.overflow_tracks,
-                        o.pnr.routing.peak_congestion,
-                        o.report.wirelength_mm,
-                        o.report.achieved_freq_ghz,
-                        o.report.power_mw,
-                    )),
-                    Err(e) => println!("{label:11} {util:.2}  ERROR {e}"),
-                }
-            }
-            if rows.is_empty() {
-                continue;
-            }
-            rows.sort_by_key(|r| r.0 + r.1);
-            let m = rows[0];
-            println!(
-                "{label:11} {util:.2}  {:5}+{:<5}       {:8.1}  {:.2}  {:5.2}  {:.3}  {:.3}   (all drv: {:?})",
-                m.0, m.1, m.2, m.3, m.4, m.5, m.6,
-                rows.iter().map(|r| r.0 + r.1).collect::<Vec<_>>(),
-            );
-        }
-    }
-}
-
-fn sanity() {
+/// Three RV32 flows with the run's knobs, printed verbosely.
+fn sanity(run: &RunEnv) {
     use ffet_core::{designs, run_flow_resilient, FlowConfig, PointDisposition};
     use ffet_tech::{RoutingPattern, TechKind};
 
     let (mut clean, mut recovered, mut failed, mut extra) = (0u32, 0u32, 0u32, 0u32);
     for (label, config) in [
-        ("CFET FM12 baseline", FlowConfig::baseline(TechKind::Cfet4t)),
-        (
-            "FFET FM12 single-sided",
-            FlowConfig::baseline(TechKind::Ffet3p5t),
-        ),
+        ("CFET FM12 baseline", run.baseline(TechKind::Cfet4t)),
+        ("FFET FM12 single-sided", run.baseline(TechKind::Ffet3p5t)),
         (
             "FFET FM12BM12 FP0.5BP0.5",
             FlowConfig {
                 pattern: RoutingPattern::new(12, 12).expect("static"),
                 back_pin_ratio: 0.5,
-                ..FlowConfig::baseline(TechKind::Ffet3p5t)
+                ..run.baseline(TechKind::Ffet3p5t)
             },
         ),
     ] {
@@ -558,73 +373,4 @@ fn sanity() {
     println!(
         "recovery: {clean} clean, {recovered} recovered, {failed} failed, {extra} extra attempts"
     );
-}
-
-#[allow(dead_code)]
-fn hotspots() {
-    use ffet_core::{designs, run_flow, FlowConfig};
-    use ffet_tech::{RoutingPattern, TechKind};
-    // Configurable via env for congestion debugging.
-    let fm: u8 = std::env::var("FFET_FM")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(12)
-        .clamp(1, 12);
-    let bm: u8 = std::env::var("FFET_BM")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0)
-        .min(12);
-    let bp: f64 = std::env::var("FFET_BP")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0.0);
-    let util: f64 = std::env::var("FFET_UTIL")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0.76);
-    let config = FlowConfig {
-        utilization: util,
-        pattern: RoutingPattern::new(fm, bm).expect("legal"),
-        back_pin_ratio: bp,
-        ..FlowConfig::baseline(TechKind::Ffet3p5t)
-    };
-    let library = config.build_library().expect("valid config");
-    let netlist = designs::rv32_core(&library);
-    let o = run_flow(&netlist, &library, &config).expect("flow");
-    let grid_info = &o.pnr.routing;
-    println!(
-        "die {:?} overflow {:.0} wl {:.2}mm",
-        o.pnr.floorplan.die, grid_info.overflow_tracks, o.report.wirelength_mm
-    );
-    for (x, y, side, h, v) in &grid_info.hot_gcells {
-        println!("gcell ({x},{y}) {side:?}: H {h:.1} V {v:.1}");
-    }
-}
-
-fn critpath() {
-    use ffet_core::{designs, run_flow, FlowConfig};
-    use ffet_tech::TechKind;
-    let config = FlowConfig {
-        utilization: 0.76,
-        ..FlowConfig::baseline(TechKind::Ffet3p5t)
-    };
-    let library = config.build_library().expect("valid config");
-    let netlist = designs::rv32_core(&library);
-    let o = run_flow(&netlist, &library, &config).expect("flow");
-    println!(
-        "achieved {:.3} GHz, critical path {:.1} ps over {} stages",
-        o.report.achieved_freq_ghz,
-        o.timing.critical_path_ps,
-        o.timing.path.len()
-    );
-    let total_cell: f64 = o.timing.path.iter().map(|s| s.cell_delay_ps).sum();
-    let total_wire: f64 = o.timing.path.iter().map(|s| s.wire_delay_ps).sum();
-    println!("cell delay {total_cell:.1} ps, wire delay {total_wire:.1} ps");
-    for s in o.timing.path.iter().rev().take(25) {
-        println!(
-            "  {:>9.1} ps  cell {:>7.1}  wire {:>7.1}  fo {:>3}  {:8} {}",
-            s.arrival_ps, s.cell_delay_ps, s.wire_delay_ps, s.fanout, s.cell, s.net
-        );
-    }
 }

@@ -10,6 +10,8 @@
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
+pub mod cli;
+
 /// A named group of timed kernels. Each kernel is warmed up once, then run
 /// `sample_size` times; min / median / max wall-clock times are printed in
 /// a fixed-width table line per kernel, and every leg's median is retained

@@ -19,7 +19,7 @@ const REPRO: &str = env!("CARGO_BIN_EXE_repro");
 const FFET: &str = env!("CARGO_BIN_EXE_ffet");
 
 /// Experiment count of `repro all` — one CSV each.
-const ALL_EXPERIMENTS: usize = 11;
+const ALL_EXPERIMENTS: usize = ffet_core::experiments::EXPERIMENTS.len();
 
 fn scratch(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("ffet-crash-resume-{tag}-{}", std::process::id()));

@@ -1,6 +1,7 @@
-//! Malformed `FFET_FAULTS` specs are a usage error at the driver edge:
-//! both CLIs parse the variable once at startup and exit 2 with the parse
-//! message, before any flow config is built — never a panic.
+//! Malformed run knobs are a usage error at the driver edge: both CLIs
+//! parse `FFET_FAULTS` once at startup, and `repro` parses every other
+//! `FFET_*` knob with it, exiting 2 with a message naming the variable
+//! before any flow config is built — never a panic.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -15,22 +16,33 @@ fn scratch(tag: &str) -> PathBuf {
     dir
 }
 
-/// Runs `bin args…` in a scratch directory with `FFET_FAULTS=spec`.
-fn run(bin: &str, args: &[&str], spec: &str, tag: &str) -> Output {
+/// Runs `bin args…` in a scratch directory on the counter design with
+/// every other knob unset, then `vars` applied.
+fn run_with(bin: &str, args: &[&str], vars: &[(&str, &str)], tag: &str) -> Output {
     let dir = scratch(tag);
-    let out = Command::new(bin)
-        .current_dir(&dir)
+    let mut cmd = Command::new(bin);
+    cmd.current_dir(&dir)
         .args(args)
-        .env("FFET_FAULTS", spec)
-        .env("FFET_DESIGN", "counter")
-        .env_remove("FFET_MAX_ATTEMPTS")
-        .env_remove("FFET_DEADLINE")
-        .env_remove("FFET_JOBS")
-        .env_remove("FFET_ROUTE_JOBS")
-        .output()
-        .unwrap_or_else(|e| panic!("spawn {bin}: {e}"));
+        .env("FFET_DESIGN", "counter");
+    for var in [
+        "FFET_FAULTS",
+        "FFET_MAX_ATTEMPTS",
+        "FFET_DEADLINE",
+        "FFET_JOBS",
+        "FFET_ROUTE_JOBS",
+        "FFET_STAGE_CACHE",
+    ] {
+        cmd.env_remove(var);
+    }
+    cmd.envs(vars.iter().copied());
+    let out = cmd.output().unwrap_or_else(|e| panic!("spawn {bin}: {e}"));
     let _ = std::fs::remove_dir_all(&dir);
     out
+}
+
+/// Runs `bin args…` in a scratch directory with `FFET_FAULTS=spec`.
+fn run(bin: &str, args: &[&str], spec: &str, tag: &str) -> Output {
+    run_with(bin, args, &[("FFET_FAULTS", spec)], tag)
 }
 
 fn assert_usage_error(out: &Output, what: &str, message: &str) {
@@ -62,4 +74,27 @@ fn bogus_fault_spec_exits_2_with_the_parse_message() {
     assert_usage_error(&out, "repro", "FFET_FAULTS: unknown fault \"ckpt-stale\"");
     let out = run(FFET, &["cache", "stats"], "ckpt-stale", "ffet-ckpt");
     assert_usage_error(&out, "ffet", "FFET_FAULTS: unknown fault \"ckpt-stale\"");
+}
+
+#[test]
+fn malformed_knobs_exit_2_naming_the_variable() {
+    for var in [
+        "FFET_JOBS",
+        "FFET_ROUTE_JOBS",
+        "FFET_MAX_ATTEMPTS",
+        "FFET_DEADLINE",
+    ] {
+        for bad in ["abc", "0", "-1"] {
+            let out = run_with(REPRO, &["--no-cache", "fig9"], &[(var, bad)], "repro-knob");
+            assert_usage_error(&out, &format!("repro {var}={bad}"), &format!("{var}: "));
+        }
+    }
+    // A misspelt design is rejected, not silently run as the RV32 core.
+    let out = run_with(
+        REPRO,
+        &["--no-cache", "fig9"],
+        &[("FFET_DESIGN", "Counter")],
+        "repro-design",
+    );
+    assert_usage_error(&out, "repro FFET_DESIGN=Counter", "FFET_DESIGN: ");
 }

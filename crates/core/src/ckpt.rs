@@ -6,25 +6,34 @@
 //! arbitrary point is recovered by rerunning the same command: finished
 //! points replay from the stage cache (DESIGN §12, §14.4).
 
+use crate::recover::DEFAULT_MAX_ATTEMPTS;
+use crate::run::RunEnv;
 use ffet_obs::{fnv1a64, hash_hex};
 use std::fs;
 use std::path::{Path, PathBuf};
 
-/// Hash of everything that changes experiment *outputs*: design, recovery
-/// budget, fault plan and deadline. Worker counts (`FFET_JOBS`/
-/// `FFET_ROUTE_JOBS`) are deliberately excluded — the §7 determinism
-/// contract makes outputs identical across widths, so ledger entries
-/// compare across parallelism. The performance ledger matches baselines
-/// on it (DESIGN §13).
+/// Hash of the knobs of `run` that can change experiment *outputs*:
+/// design, attempt budget, fault plan and deadline. Widths and the cache
+/// root are excluded — the §7 determinism contract and the cache's
+/// byte-identity make outputs independent of them, so ledger entries
+/// compare across both. A knob at its default renders as an empty field.
+/// The performance ledger matches baselines on it (DESIGN §13).
 #[must_use]
-pub fn config_signature(design: crate::experiments::DesignKind) -> String {
+pub fn config_signature(run: &RunEnv) -> String {
+    let max_attempts = if run.max_attempts == DEFAULT_MAX_ATTEMPTS {
+        String::new()
+    } else {
+        run.max_attempts.to_string()
+    };
+    let deadline = run
+        .deadline_ms
+        .map_or_else(String::new, |ms| (ms as f64 / 1000.0).to_string());
     // The `ckpt-v1|` prefix is frozen: the checked-in
     // `results/ledger/baseline.jsonl` keys on the hash of this exact string.
     let sig = format!(
-        "ckpt-v1|design={design:?}|max_attempts={}|faults={}|deadline={}",
-        std::env::var(crate::MAX_ATTEMPTS_ENV).unwrap_or_default(),
-        std::env::var(crate::FAULTS_ENV).unwrap_or_default(),
-        std::env::var(crate::DEADLINE_ENV).unwrap_or_default(),
+        "ckpt-v1|design={:?}|max_attempts={max_attempts}|faults={}|deadline={deadline}",
+        run.design,
+        run.faults.spec(),
     );
     hash_hex(fnv1a64(sig.as_bytes()))
 }
@@ -85,19 +94,36 @@ mod tests {
 
     #[test]
     fn config_signature_matches_the_checked_in_ledger_baseline() {
-        let knobs = [
-            crate::MAX_ATTEMPTS_ENV,
-            crate::FAULTS_ENV,
-            crate::DEADLINE_ENV,
-        ];
-        if knobs.iter().any(|k| std::env::var_os(k).is_some()) {
-            return; // the signature covers these; the pin assumes them unset
-        }
+        use crate::experiments::DesignKind;
         // The `cfg` of the counter `fig9` entry in results/ledger/baseline.jsonl.
-        assert_eq!(
-            config_signature(crate::experiments::DesignKind::CounterSmall),
-            "044586a4e3d175ae"
-        );
+        let run = RunEnv::new(DesignKind::CounterSmall);
+        assert_eq!(config_signature(&run), "044586a4e3d175ae");
+        // Widths and the cache root never enter it; a knob spelled at its
+        // default is the same config as an unset one.
+        let same = RunEnv {
+            stage_cache: Some(PathBuf::from("elsewhere")),
+            max_attempts: DEFAULT_MAX_ATTEMPTS,
+            ..run.clone().with_jobs(4)
+        };
+        assert_eq!(config_signature(&same), config_signature(&run));
+        let outputs_differ = [
+            RunEnv::new(DesignKind::Rv32),
+            RunEnv {
+                max_attempts: 5,
+                ..run.clone()
+            },
+            RunEnv {
+                deadline_ms: Some(1500),
+                ..run.clone()
+            },
+            RunEnv {
+                faults: crate::FaultPlan::parse("route-open@1").expect("valid spec"),
+                ..run.clone()
+            },
+        ];
+        for other in &outputs_differ {
+            assert_ne!(config_signature(other), config_signature(&run), "{other:?}");
+        }
     }
 
     #[test]

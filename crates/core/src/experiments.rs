@@ -2,17 +2,21 @@
 //! evaluation (§IV). Each function returns a typed result whose `table` can
 //! be rendered with [`ExpTable::render`] or serialized with
 //! [`ExpTable::to_csv`]; flow experiments additionally carry per-point
-//! traces (spans + metrics from `ffet-obs`) for the run artifacts. The
-//! `repro` binary in `ffet-bench` is the command-line driver.
+//! traces (spans + metrics from `ffet-obs`) for the run artifacts.
+//! [`EXPERIMENTS`] names every experiment in `repro all` order; the `repro`
+//! binary in `ffet-bench` is its command-line driver.
 //!
-//! The benchmark design is the gate-level RV32I core
-//! ([`crate::designs::rv32_core`]); set [`DesignKind::CounterSmall`] for
-//! fast smoke tests of the experiment plumbing.
+//! Flow experiments take the run's knobs as a [`RunEnv`]: its design (the
+//! gate-level RV32I core [`crate::designs::rv32_core`], or
+//! [`DesignKind::CounterSmall`] for fast smoke tests of the experiment
+//! plumbing), its pool width, and the knobs [`RunEnv::baseline`] applies to
+//! every config.
 
 use crate::designs;
 use crate::flow::{FlowConfig, FlowError, StageTimes};
 use crate::recover::{run_flow_resilient, PointFailure, PointRecovery};
 use crate::report::{pct_diff, PpaReport};
+use crate::run::RunEnv;
 use crate::runner::{JobError, JobOutcome, Pool, RunLogRow};
 use ffet_cells::{fig4_area_comparison, CellFunction, CellKind, DriveStrength, Library};
 use ffet_netlist::Netlist;
@@ -128,6 +132,29 @@ impl ExpTable {
     }
 }
 
+/// One experiment's artifacts: the printable/plottable table plus the DoE
+/// engine's per-job telemetry and per-point traces (both empty for the
+/// analytic tables).
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct ExpRun {
+    /// Rendered table.
+    pub table: ExpTable,
+    /// Per-job telemetry (outside the determinism contract).
+    pub runlog: Vec<RunLogRow>,
+    /// Per-point spans and metrics for the run artifacts (metric values
+    /// deterministic, span timings wall-clock).
+    pub traces: Vec<LabeledPoint>,
+}
+
+impl From<ExpTable> for ExpRun {
+    fn from(table: ExpTable) -> ExpRun {
+        ExpRun {
+            table,
+            ..ExpRun::default()
+        }
+    }
+}
+
 fn f2(v: f64) -> String {
     format!("{v:.2}")
 }
@@ -221,16 +248,9 @@ pub fn table1() -> Table1 {
 // Table II — design rules
 // ---------------------------------------------------------------------
 
-/// Result of the Table II dump.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Table2 {
-    /// Rendered table.
-    pub table: ExpTable,
-}
-
 /// Dumps the encoded Table II layer stacks for verification.
 #[must_use]
-pub fn table2() -> Table2 {
+pub fn table2() -> ExpTable {
     let ffet = Technology::ffet_3p5t();
     let cfet = Technology::cfet_4t();
     let mut rows = Vec::new();
@@ -261,13 +281,11 @@ pub fn table2() -> Table2 {
             .map_or_else(|| "/".into(), |p| p.to_string()),
         "/".into(),
     ]);
-    Table2 {
-        table: ExpTable {
-            title: "Table II — layer pitches (nm), virtual 5nm PDK".into(),
-            header: vec!["Layer".into(), "4T CFET".into(), "3.5T FFET".into()],
-            rows,
-            notes: vec!["CFET BM1/BM2 are PDN-only (3200/2400 nm)".into()],
-        },
+    ExpTable {
+        title: "Table II — layer pitches (nm), virtual 5nm PDK".into(),
+        header: vec!["Layer".into(), "4T CFET".into(), "3.5T FFET".into()],
+        rows,
+        notes: vec!["CFET BM1/BM2 are PDN-only (3200/2400 nm)".into()],
     }
 }
 
@@ -527,18 +545,18 @@ struct SweepResult {
 /// (spec × utilization × seed) flow point is submitted together so the pool
 /// stays saturated across configuration boundaries.
 fn run_sweeps(
-    pool: &Pool,
-    design: DesignKind,
+    run: &RunEnv,
     experiment: &str,
     specs: Vec<SweepSpec>,
     runlog: &mut Vec<RunLogRow>,
     traces: &mut Vec<LabeledPoint>,
 ) -> Vec<SweepResult> {
+    let pool = Pool::new(run.jobs);
     // Phase 1: contexts (library + netlist) per spec, in parallel.
     let contexts: Vec<(Library, Netlist)> = pool
         .run(specs.iter().collect(), |spec: &&SweepSpec| {
             let library = spec.base.build_library()?;
-            let netlist = build_design(&library, design);
+            let netlist = build_design(&library, run.design);
             Ok::<_, crate::FlowError>((library, netlist))
         })
         .into_iter()
@@ -613,19 +631,19 @@ fn run_sweeps(
 }
 
 /// The three configurations Fig. 8 compares.
-fn fig8_configs() -> Vec<(&'static str, FlowConfig)> {
+fn fig8_configs(run: &RunEnv) -> Vec<(&'static str, FlowConfig)> {
     vec![
-        ("4T CFET (FM12)", FlowConfig::baseline(TechKind::Cfet4t)),
+        ("4T CFET (FM12)", run.baseline(TechKind::Cfet4t)),
         (
             "3.5T FFET FM12 (single-sided)",
-            FlowConfig::baseline(TechKind::Ffet3p5t),
+            run.baseline(TechKind::Ffet3p5t),
         ),
         (
             "3.5T FFET FM12BM12 (FP0.5BP0.5)",
             FlowConfig {
                 pattern: RoutingPattern::fixed(12, 12),
                 back_pin_ratio: 0.5,
-                ..FlowConfig::baseline(TechKind::Ffet3p5t)
+                ..run.baseline(TechKind::Ffet3p5t)
             },
         ),
     ]
@@ -634,37 +652,20 @@ fn fig8_configs() -> Vec<(&'static str, FlowConfig)> {
 /// Result of the Fig. 8 reproduction.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Fig8 {
-    /// Rendered table.
-    pub table: ExpTable,
+    /// Table, per-job telemetry and per-point traces.
+    pub out: ExpRun,
     /// Per-config maximum valid utilization.
     pub max_utils: Vec<(String, Option<f64>)>,
     /// All sweep points per config.
     pub sweeps: Vec<(String, Vec<UtilPoint>)>,
-    /// Per-job telemetry (outside the determinism contract).
-    pub runlog: Vec<RunLogRow>,
-    /// Per-point spans and metrics for the run artifacts (metric values
-    /// deterministic, span timings wall-clock).
-    pub traces: Vec<LabeledPoint>,
 }
 
 /// Reproduces Fig. 8: core area vs utilization and the maximum-utilization
 /// limits of CFET, single-sided FFET and dual-sided FFET.
 #[must_use]
-pub fn fig8() -> Fig8 {
-    fig8_with(DesignKind::Rv32)
-}
-
-/// [`fig8`] with a configurable benchmark design.
-#[must_use]
-pub fn fig8_with(design: DesignKind) -> Fig8 {
-    fig8_on(design, &Pool::from_env())
-}
-
-/// [`fig8`] on an explicit DoE pool.
-#[must_use]
-pub fn fig8_on(design: DesignKind, pool: &Pool) -> Fig8 {
+pub fn fig8(run: &RunEnv) -> Fig8 {
     let utils: Vec<f64> = (1..=13).map(|i| 0.40 + 0.04 * i as f64).collect(); // 0.44..0.92
-    let specs = fig8_configs()
+    let specs = fig8_configs(run)
         .into_iter()
         .map(|(label, base)| SweepSpec {
             label: label.to_owned(),
@@ -674,7 +675,7 @@ pub fn fig8_on(design: DesignKind, pool: &Pool) -> Fig8 {
         .collect();
     let mut runlog = Vec::new();
     let mut traces = Vec::new();
-    let results = run_sweeps(pool, design, "fig8", specs, &mut runlog, &mut traces);
+    let results = run_sweeps(run, "fig8", specs, &mut runlog, &mut traces);
     let mut max_utils = Vec::new();
     let mut sweeps = Vec::new();
     let mut rows = Vec::new();
@@ -737,69 +738,55 @@ pub fn fig8_on(design: DesignKind, pool: &Pool) -> Fig8 {
     }
     notes.push("paper: max util FFET FM12BM12 = 86% (Power-Tap-Cell-limited), FFET FM12 = 76%, both above/below CFET respectively".into());
     Fig8 {
-        table: ExpTable {
-            title: "Fig. 8 — core area vs utilization & maximum utilization".into(),
-            header: vec![
-                "Config".into(),
-                "Util".into(),
-                "Area µm²".into(),
-                "DRV".into(),
-                "Validity".into(),
-            ],
-            rows,
-            notes,
+        out: ExpRun {
+            table: ExpTable {
+                title: "Fig. 8 — core area vs utilization & maximum utilization".into(),
+                header: vec![
+                    "Config".into(),
+                    "Util".into(),
+                    "Area µm²".into(),
+                    "DRV".into(),
+                    "Validity".into(),
+                ],
+                rows,
+                notes,
+            },
+            runlog,
+            traces,
         },
         max_utils,
         sweeps,
-        runlog,
-        traces,
     }
 }
 
 /// Result of the Fig. 9 reproduction.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Fig9 {
-    /// Rendered table.
-    pub table: ExpTable,
+    /// Table, per-job telemetry and per-point traces.
+    pub out: ExpRun,
     /// (config label, target GHz, achieved GHz, power mW).
     pub points: Vec<(String, f64, f64, f64)>,
-    /// Per-job telemetry (outside the determinism contract).
-    pub runlog: Vec<RunLogRow>,
-    /// Per-point spans and metrics for the run artifacts (metric values
-    /// deterministic, span timings wall-clock).
-    pub traces: Vec<LabeledPoint>,
 }
 
 /// Reproduces Fig. 9: power–frequency comparison of CFET vs single-sided
 /// FFET, sweeping the synthesis target from 0.5 to 3 GHz at 76% util.
 #[must_use]
-pub fn fig9() -> Fig9 {
-    fig9_with(DesignKind::Rv32)
-}
-
-/// [`fig9`] with a configurable benchmark design.
-#[must_use]
-pub fn fig9_with(design: DesignKind) -> Fig9 {
-    fig9_on(design, &Pool::from_env())
-}
-
-/// [`fig9`] on an explicit DoE pool.
-#[must_use]
-pub fn fig9_on(design: DesignKind, pool: &Pool) -> Fig9 {
+pub fn fig9(run: &RunEnv) -> Fig9 {
+    let pool = Pool::new(run.jobs);
     let targets = [0.5, 1.0, 1.5, 2.0, 2.5, 3.0];
     let configs = [
         (
             "4T CFET",
             FlowConfig {
                 utilization: 0.76,
-                ..FlowConfig::baseline(TechKind::Cfet4t)
+                ..run.baseline(TechKind::Cfet4t)
             },
         ),
         (
             "3.5T FFET FM12",
             FlowConfig {
                 utilization: 0.76,
-                ..FlowConfig::baseline(TechKind::Ffet3p5t)
+                ..run.baseline(TechKind::Ffet3p5t)
             },
         ),
     ];
@@ -807,7 +794,7 @@ pub fn fig9_on(design: DesignKind, pool: &Pool) -> Fig9 {
     let contexts: Vec<(Library, Netlist)> = pool
         .run(configs.iter().collect(), |job: &&(&str, FlowConfig)| {
             let library = job.1.build_library()?;
-            let netlist = build_design(&library, design);
+            let netlist = build_design(&library, run.design);
             Ok::<_, crate::FlowError>((library, netlist))
         })
         .into_iter()
@@ -880,58 +867,34 @@ pub fn fig9_on(design: DesignKind, pool: &Pool) -> Fig9 {
         ));
     }
     Fig9 {
-        table: ExpTable {
-            title: "Fig. 9 — power–frequency, CFET vs FFET FM12 (util 76%)".into(),
-            header: vec![
-                "Config".into(),
-                "Target GHz".into(),
-                "Achieved GHz".into(),
-                "Power mW".into(),
-                "DRV".into(),
-            ],
-            rows,
-            notes,
+        out: ExpRun {
+            table: ExpTable {
+                title: "Fig. 9 — power–frequency, CFET vs FFET FM12 (util 76%)".into(),
+                header: vec![
+                    "Config".into(),
+                    "Target GHz".into(),
+                    "Achieved GHz".into(),
+                    "Power mW".into(),
+                    "DRV".into(),
+                ],
+                rows,
+                notes,
+            },
+            runlog,
+            traces,
         },
         points,
-        runlog,
-        traces,
     }
-}
-
-/// Result of the Fig. 10 reproduction.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Fig10 {
-    /// Rendered table.
-    pub table: ExpTable,
-    /// (config, core area µm², achieved GHz, valid).
-    pub points: Vec<(String, f64, f64, bool)>,
-    /// Per-job telemetry (outside the determinism contract).
-    pub runlog: Vec<RunLogRow>,
-    /// Per-point spans and metrics for the run artifacts (metric values
-    /// deterministic, span timings wall-clock).
-    pub traces: Vec<LabeledPoint>,
 }
 
 /// Reproduces Fig. 10: frequency–area at a 1.5 GHz synthesis target (the
 /// area axis is swept through the utilization).
 #[must_use]
-pub fn fig10() -> Fig10 {
-    fig10_with(DesignKind::Rv32)
-}
-
-/// [`fig10`] with a configurable benchmark design.
-#[must_use]
-pub fn fig10_with(design: DesignKind) -> Fig10 {
-    fig10_on(design, &Pool::from_env())
-}
-
-/// [`fig10`] on an explicit DoE pool.
-#[must_use]
-pub fn fig10_on(design: DesignKind, pool: &Pool) -> Fig10 {
+pub fn fig10(run: &RunEnv) -> ExpRun {
     let utils: Vec<f64> = (0..8).map(|i| 0.46 + 0.06 * i as f64).collect(); // 0.46..0.88
     let configs = [
-        ("4T CFET", FlowConfig::baseline(TechKind::Cfet4t)),
-        ("3.5T FFET FM12", FlowConfig::baseline(TechKind::Ffet3p5t)),
+        ("4T CFET", run.baseline(TechKind::Cfet4t)),
+        ("3.5T FFET FM12", run.baseline(TechKind::Ffet3p5t)),
     ];
     let specs = configs
         .into_iter()
@@ -943,8 +906,7 @@ pub fn fig10_on(design: DesignKind, pool: &Pool) -> Fig10 {
         .collect();
     let mut runlog = Vec::new();
     let mut traces = Vec::new();
-    let results = run_sweeps(pool, design, "fig10", specs, &mut runlog, &mut traces);
-    let mut points = Vec::new();
+    let results = run_sweeps(run, "fig10", specs, &mut runlog, &mut traces);
     let mut rows = Vec::new();
     for r in results {
         for p in r.points {
@@ -959,15 +921,9 @@ pub fn fig10_on(design: DesignKind, pool: &Pool) -> Fig10 {
                     "INVALID".into()
                 },
             ]);
-            points.push((
-                r.label.clone(),
-                p.report.core_area_um2,
-                p.report.achieved_freq_ghz,
-                p.report.valid,
-            ));
         }
     }
-    Fig10 {
+    ExpRun {
         table: ExpTable {
             title: "Fig. 10 — frequency–area at 1.5 GHz target".into(),
             header: vec![
@@ -982,7 +938,6 @@ pub fn fig10_on(design: DesignKind, pool: &Pool) -> Fig10 {
                 "paper: FFET FM12 +16.0% frequency at CFET's best area; +23.4% at respective maxima".into(),
             ],
         },
-        points,
         runlog,
         traces,
     }
@@ -994,33 +949,16 @@ const PIN_DENSITY_DOES: [f64; 5] = [0.04, 0.16, 0.30, 0.40, 0.50];
 /// Result of the Fig. 11 reproduction.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Fig11 {
-    /// Rendered table.
-    pub table: ExpTable,
+    /// Table, per-job telemetry and per-point traces.
+    pub out: ExpRun,
     /// (BP ratio, mean achieved GHz, mean power mW) across the util sweep.
     pub means: Vec<(f64, f64, f64)>,
-    /// Per-job telemetry (outside the determinism contract).
-    pub runlog: Vec<RunLogRow>,
-    /// Per-point spans and metrics for the run artifacts (metric values
-    /// deterministic, span timings wall-clock).
-    pub traces: Vec<LabeledPoint>,
 }
 
 /// Reproduces Fig. 11: power–frequency distributions of the five backside
 /// pin-density DoEs under FM12BM12, sweeping utilization 46–76%.
 #[must_use]
-pub fn fig11() -> Fig11 {
-    fig11_with(DesignKind::Rv32)
-}
-
-/// [`fig11`] with a configurable benchmark design.
-#[must_use]
-pub fn fig11_with(design: DesignKind) -> Fig11 {
-    fig11_on(design, &Pool::from_env())
-}
-
-/// [`fig11`] on an explicit DoE pool.
-#[must_use]
-pub fn fig11_on(design: DesignKind, pool: &Pool) -> Fig11 {
+pub fn fig11(run: &RunEnv) -> Fig11 {
     let utils: Vec<f64> = (0..6).map(|i| 0.46 + 0.06 * i as f64).collect(); // 0.46..0.76
     let specs = PIN_DENSITY_DOES
         .iter()
@@ -1029,14 +967,14 @@ pub fn fig11_on(design: DesignKind, pool: &Pool) -> Fig11 {
             base: FlowConfig {
                 pattern: RoutingPattern::fixed(12, 12),
                 back_pin_ratio: bp,
-                ..FlowConfig::baseline(TechKind::Ffet3p5t)
+                ..run.baseline(TechKind::Ffet3p5t)
             },
             utils: utils.clone(),
         })
         .collect();
     let mut runlog = Vec::new();
     let mut traces = Vec::new();
-    let results = run_sweeps(pool, design, "fig11", specs, &mut runlog, &mut traces);
+    let results = run_sweeps(run, "fig11", specs, &mut runlog, &mut traces);
     let mut rows = Vec::new();
     let mut means = Vec::new();
     for (r, &bp) in results.iter().zip(&PIN_DENSITY_DOES) {
@@ -1068,60 +1006,46 @@ pub fn fig11_on(design: DesignKind, pool: &Pool) -> Fig11 {
         ));
     }
     Fig11 {
-        table: ExpTable {
-            title: "Fig. 11 — pin-density DoEs under FM12BM12 (util 46–76%)".into(),
-            header: vec![
-                "DoE".into(),
-                "Util".into(),
-                "Achieved GHz".into(),
-                "Power mW".into(),
-                "DRV".into(),
-            ],
-            rows,
-            notes,
+        out: ExpRun {
+            table: ExpTable {
+                title: "Fig. 11 — pin-density DoEs under FM12BM12 (util 46–76%)".into(),
+                header: vec![
+                    "DoE".into(),
+                    "Util".into(),
+                    "Achieved GHz".into(),
+                    "Power mW".into(),
+                    "DRV".into(),
+                ],
+                rows,
+                notes,
+            },
+            runlog,
+            traces,
         },
         means,
-        runlog,
-        traces,
     }
 }
 
 /// Result of the Table III reproduction.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Table3 {
-    /// Rendered table.
-    pub table: ExpTable,
+    /// Table, per-job telemetry and per-point traces.
+    pub out: ExpRun,
     /// (BP ratio, pattern, Δfreq %, Δpower %).
     pub rows_data: Vec<(f64, RoutingPattern, f64, f64)>,
-    /// Per-job telemetry (outside the determinism contract).
-    pub runlog: Vec<RunLogRow>,
-    /// Per-point spans and metrics for the run artifacts (metric values
-    /// deterministic, span timings wall-clock).
-    pub traces: Vec<LabeledPoint>,
 }
 
 /// Reproduces Table III: pin density × routing-layer co-optimization with
 /// a 12-layer total budget, relative to the single-sided FFET FM12
 /// baseline at 76% utilization and 1.5 GHz target.
-#[must_use]
-pub fn table3() -> Table3 {
-    table3_with(DesignKind::Rv32)
-}
-
-/// [`table3`] with a configurable benchmark design.
-#[must_use]
-pub fn table3_with(design: DesignKind) -> Table3 {
-    table3_on(design, &Pool::from_env())
-}
-
-/// [`table3`] on an explicit DoE pool.
 ///
 /// # Panics
 ///
 /// Panics if the single-sided baseline run fails — every row of the table
 /// is a diff against it.
 #[must_use]
-pub fn table3_on(design: DesignKind, pool: &Pool) -> Table3 {
+pub fn table3(run: &RunEnv) -> Table3 {
+    let pool = Pool::new(run.jobs);
     // The paper's DoE rows (Table III).
     let rows_spec: [(f64, (u8, u8)); 13] = [
         (0.04, (10, 2)),
@@ -1144,12 +1068,12 @@ pub fn table3_on(design: DesignKind, pool: &Pool) -> Table3 {
     // paper point of 76% leaves only the front-heavy rows valid).
     let base_cfg = FlowConfig {
         utilization: 0.72,
-        ..FlowConfig::baseline(TechKind::Ffet3p5t)
+        ..run.baseline(TechKind::Ffet3p5t)
     };
     let base_lib = base_cfg
         .build_library()
         .expect("baseline config has no pin redistribution");
-    let netlist = build_design(&base_lib, design);
+    let netlist = build_design(&base_lib, run.design);
 
     // The baseline and every DoE row share one netlist but build their own
     // (possibly pin-redistributed) library inside the job, so the whole
@@ -1203,7 +1127,8 @@ pub fn table3_on(design: DesignKind, pool: &Pool) -> Table3 {
         }
     }
     Table3 {
-        table: ExpTable {
+        out: ExpRun {
+            table: ExpTable {
             title: "Table III — pin density × routing layers vs FFET FM12 baseline".into(),
             header: vec![
                 "Input pin density".into(),
@@ -1217,42 +1142,17 @@ pub fn table3_on(design: DesignKind, pool: &Pool) -> Table3 {
                 "paper: best Δfreq without power degradation +10.6% (FP0.5BP0.5 FM6BM6); best Δfreq +12.8% (FP0.7BP0.3 FM8BM4/FM7BM5, +1.4% power)".into(),
             ],
         },
+            runlog,
+            traces,
+        },
         rows_data,
-        runlog,
-        traces,
     }
-}
-
-/// Result of the Fig. 12 reproduction.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Fig12 {
-    /// Rendered table.
-    pub table: ExpTable,
-    /// (layers per side, max valid utilization).
-    pub points: Vec<(u8, Option<f64>)>,
-    /// Per-job telemetry (outside the determinism contract).
-    pub runlog: Vec<RunLogRow>,
-    /// Per-point spans and metrics for the run artifacts (metric values
-    /// deterministic, span timings wall-clock).
-    pub traces: Vec<LabeledPoint>,
 }
 
 /// Reproduces Fig. 12: maximum utilization of FFET FP0.5BP0.5 as the
 /// number of routing layers per side shrinks from 12 to 2.
 #[must_use]
-pub fn fig12() -> Fig12 {
-    fig12_with(DesignKind::Rv32)
-}
-
-/// [`fig12`] with a configurable benchmark design.
-#[must_use]
-pub fn fig12_with(design: DesignKind) -> Fig12 {
-    fig12_on(design, &Pool::from_env())
-}
-
-/// [`fig12`] on an explicit DoE pool.
-#[must_use]
-pub fn fig12_on(design: DesignKind, pool: &Pool) -> Fig12 {
+pub fn fig12(run: &RunEnv) -> ExpRun {
     // A coarser grid than Fig. 8 keeps this 11-pattern sweep tractable;
     // the paper's plateau (86% down to 4 layers/side, ~70% at 2) is still
     // resolvable.
@@ -1265,67 +1165,39 @@ pub fn fig12_on(design: DesignKind, pool: &Pool) -> Fig12 {
             base: FlowConfig {
                 pattern: RoutingPattern::fixed(n, n),
                 back_pin_ratio: 0.5,
-                ..FlowConfig::baseline(TechKind::Ffet3p5t)
+                ..run.baseline(TechKind::Ffet3p5t)
             },
             utils: utils.clone(),
         })
         .collect();
     let mut runlog = Vec::new();
     let mut traces = Vec::new();
-    let results = run_sweeps(pool, design, "fig12", specs, &mut runlog, &mut traces);
-    let mut points = Vec::new();
+    let results = run_sweeps(run, "fig12", specs, &mut runlog, &mut traces);
     let mut rows = Vec::new();
-    for (r, &n) in results.iter().zip(&layers) {
+    for r in &results {
         rows.push(vec![
             r.label.clone(),
             r.max_util
                 .map_or_else(|| "none".into(), |u| format!("{:.0}%", u * 100.0)),
         ]);
-        points.push((n, r.max_util));
     }
-    Fig12 {
+    ExpRun {
         table: ExpTable {
             title: "Fig. 12 — max utilization vs routing layers per side (FP0.5BP0.5)".into(),
             header: vec!["Pattern".into(), "Max utilization".into()],
             rows,
             notes: vec!["paper: constant 86% down to 4 layers/side, ~70% at 2 layers/side".into()],
         },
-        points,
         runlog,
         traces,
     }
 }
 
-/// Result of the Fig. 13 reproduction.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Fig13 {
-    /// Rendered table.
-    pub table: ExpTable,
-    /// (layers per side, efficiency GHz/mW, Δ vs 12 layers %).
-    pub points: Vec<(u8, f64, f64)>,
-    /// Per-job telemetry (outside the determinism contract).
-    pub runlog: Vec<RunLogRow>,
-    /// Per-point spans and metrics for the run artifacts (metric values
-    /// deterministic, span timings wall-clock).
-    pub traces: Vec<LabeledPoint>,
-}
-
 /// Reproduces Fig. 13: power efficiency of FFET FP0.5BP0.5 vs routing
 /// layers per side at 76% utilization / 1.5 GHz target.
 #[must_use]
-pub fn fig13() -> Fig13 {
-    fig13_with(DesignKind::Rv32)
-}
-
-/// [`fig13`] with a configurable benchmark design.
-#[must_use]
-pub fn fig13_with(design: DesignKind) -> Fig13 {
-    fig13_on(design, &Pool::from_env())
-}
-
-/// [`fig13`] on an explicit DoE pool.
-#[must_use]
-pub fn fig13_on(design: DesignKind, pool: &Pool) -> Fig13 {
+pub fn fig13(run: &RunEnv) -> ExpRun {
+    let pool = Pool::new(run.jobs);
     let layers: Vec<u8> = (3..=12u8).rev().collect();
     // One job per pattern; each builds its own library + netlist, so the
     // whole figure parallelizes including the context builds.
@@ -1334,10 +1206,10 @@ pub fn fig13_on(design: DesignKind, pool: &Pool) -> Fig13 {
             pattern: RoutingPattern::fixed(n, n),
             back_pin_ratio: 0.5,
             utilization: 0.76,
-            ..FlowConfig::baseline(TechKind::Ffet3p5t)
+            ..run.baseline(TechKind::Ffet3p5t)
         };
         let library = config.build_library().map_err(config_failure)?;
-        let netlist = build_design(&library, design);
+        let netlist = build_design(&library, run.design);
         flow_job(&netlist, &library, &config)
     });
     let mut runlog = Vec::new();
@@ -1358,7 +1230,7 @@ pub fn fig13_on(design: DesignKind, pool: &Pool) -> Fig13 {
         .iter()
         .map(|&(n, e, d)| vec![format!("FM{n}BM{n}"), format!("{e:.4}"), pct(d)])
         .collect();
-    Fig13 {
+    ExpRun {
         table: ExpTable {
             title: "Fig. 13 — power efficiency vs routing layers per side".into(),
             header: vec!["Pattern".into(), "GHz/mW".into(), "Δ vs 12 layers".into()],
@@ -1367,7 +1239,6 @@ pub fn fig13_on(design: DesignKind, pool: &Pool) -> Fig13 {
                 "paper: only −0.68% efficiency when reduced from 12 to 5 layers per side".into(),
             ],
         },
-        points,
         runlog,
         traces,
     }
@@ -1380,15 +1251,10 @@ pub fn fig13_on(design: DesignKind, pool: &Pool) -> Fig13 {
 /// Result of the bridging-vs-dual-sided-pins ablation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BridgingAblation {
-    /// Rendered table.
-    pub table: ExpTable,
+    /// Table, per-job telemetry and per-point traces.
+    pub out: ExpRun,
     /// (label, report) per configuration.
     pub reports: Vec<(String, PpaReport)>,
-    /// Per-job telemetry (outside the determinism contract).
-    pub runlog: Vec<RunLogRow>,
-    /// Per-point spans and metrics for the run artifacts (metric values
-    /// deterministic, span timings wall-clock).
-    pub traces: Vec<LabeledPoint>,
 }
 
 /// Ablation of the paper's key design choice (§III.A): dual-sided signals
@@ -1397,25 +1263,14 @@ pub struct BridgingAblation {
 /// skipped bridging cells "to minimize the area cost" — this experiment
 /// measures that cost.
 #[must_use]
-pub fn bridging_ablation() -> BridgingAblation {
-    bridging_ablation_with(DesignKind::Rv32)
-}
-
-/// [`bridging_ablation`] with a configurable benchmark design.
-#[must_use]
-pub fn bridging_ablation_with(design: DesignKind) -> BridgingAblation {
-    bridging_ablation_on(design, &Pool::from_env())
-}
-
-/// [`bridging_ablation`] on an explicit DoE pool.
-#[must_use]
-pub fn bridging_ablation_on(design: DesignKind, pool: &Pool) -> BridgingAblation {
+pub fn bridging_ablation(run: &RunEnv) -> BridgingAblation {
+    let pool = Pool::new(run.jobs);
     let configs = [
         (
             "single-sided FM12 (baseline)",
             FlowConfig {
                 utilization: 0.7,
-                ..FlowConfig::baseline(TechKind::Ffet3p5t)
+                ..run.baseline(TechKind::Ffet3p5t)
             },
         ),
         (
@@ -1424,7 +1279,7 @@ pub fn bridging_ablation_on(design: DesignKind, pool: &Pool) -> BridgingAblation
                 utilization: 0.7,
                 pattern: RoutingPattern::fixed(6, 6),
                 back_pin_ratio: 0.5,
-                ..FlowConfig::baseline(TechKind::Ffet3p5t)
+                ..run.baseline(TechKind::Ffet3p5t)
             },
         ),
         (
@@ -1434,13 +1289,13 @@ pub fn bridging_ablation_on(design: DesignKind, pool: &Pool) -> BridgingAblation
                 pattern: RoutingPattern::fixed(6, 6),
                 back_pin_ratio: 0.0,
                 bridging_min_nm: Some(2_000),
-                ..FlowConfig::baseline(TechKind::Ffet3p5t)
+                ..run.baseline(TechKind::Ffet3p5t)
             },
         ),
     ];
     let outcomes = pool.run(configs.to_vec(), |(_, config)| {
         let library = config.build_library().map_err(config_failure)?;
-        let netlist = build_design(&library, design);
+        let netlist = build_design(&library, run.design);
         flow_job(&netlist, &library, config)
     });
     let mut runlog = Vec::new();
@@ -1474,25 +1329,49 @@ pub fn bridging_ablation_on(design: DesignKind, pool: &Pool) -> BridgingAblation
         ));
     }
     BridgingAblation {
-        table: ExpTable {
-            title: "Ablation — dual-sided pins (Algorithm 1) vs bridging cells".into(),
-            header: vec![
-                "Config".into(),
-                "Cells".into(),
-                "Area µm²".into(),
-                "GHz".into(),
-                "mW".into(),
-                "Back wl mm".into(),
-                "DRV".into(),
-            ],
-            rows,
-            notes,
+        out: ExpRun {
+            table: ExpTable {
+                title: "Ablation — dual-sided pins (Algorithm 1) vs bridging cells".into(),
+                header: vec![
+                    "Config".into(),
+                    "Cells".into(),
+                    "Area µm²".into(),
+                    "GHz".into(),
+                    "mW".into(),
+                    "Back wl mm".into(),
+                    "DRV".into(),
+                ],
+                rows,
+                notes,
+            },
+            runlog,
+            traces,
         },
         reports,
-        runlog,
-        traces,
     }
 }
+
+// ---------------------------------------------------------------------
+// The experiment registry
+// ---------------------------------------------------------------------
+
+/// An experiment runner, as the registry holds it.
+pub type Experiment = fn(&RunEnv) -> ExpRun;
+
+/// Every experiment by its `repro` name, in `repro all` order.
+pub const EXPERIMENTS: [(&str, Experiment); 11] = [
+    ("table1", |_| table1().table.into()),
+    ("table2", |_| table2().into()),
+    ("fig4", |_| fig4().table.into()),
+    ("fig8", |run| fig8(run).out),
+    ("fig9", |run| fig9(run).out),
+    ("fig10", fig10),
+    ("fig11", |run| fig11(run).out),
+    ("table3", |run| table3(run).out),
+    ("fig12", fig12),
+    ("fig13", fig13),
+    ("ablation", |run| bridging_ablation(run).out),
+];
 
 #[cfg(test)]
 mod tests {
@@ -1500,7 +1379,7 @@ mod tests {
 
     #[test]
     fn bridging_ablation_smoke() {
-        let a = bridging_ablation_with(DesignKind::CounterSmall);
+        let a = bridging_ablation(&RunEnv::new(DesignKind::CounterSmall));
         assert_eq!(a.reports.len(), 3);
         // The bridging config physically uses the backside.
         let bridged = &a.reports[2].1;
@@ -1553,15 +1432,15 @@ mod tests {
     #[test]
     fn table2_lists_both_stacks() {
         let t = table2();
-        assert!(t.table.rows.iter().any(|r| r[0] == "FM12"));
-        assert!(t.table.rows.iter().any(|r| r[0] == "BM12" && r[1] == "/"));
+        assert!(t.rows.iter().any(|r| r[0] == "FM12"));
+        assert!(t.rows.iter().any(|r| r[0] == "BM12" && r[1] == "/"));
     }
 
     #[test]
     fn smoke_fig9_on_small_design() {
         // Plumbing check on the fast design: both configs produce points
         // and the FFET points are not slower across the board.
-        let f = fig9_with(DesignKind::CounterSmall);
+        let f = fig9(&RunEnv::new(DesignKind::CounterSmall));
         assert!(f.points.len() >= 8);
         let mean = |label: &str| {
             let v: Vec<f64> = f

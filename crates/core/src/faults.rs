@@ -193,9 +193,6 @@ pub struct FaultPlan {
     pub attempt: u32,
 }
 
-/// Environment variable carrying a fault spec for the `repro` driver.
-pub const FAULTS_ENV: &str = "FFET_FAULTS";
-
 impl FaultPlan {
     /// Whether the plan injects nothing (the golden path).
     #[must_use]
@@ -235,30 +232,26 @@ impl FaultPlan {
         })
     }
 
-    /// The plan from `FFET_FAULTS`, or empty when unset. Drivers call this
-    /// once at startup and exit on the error, so [`FaultPlan::from_env`]
-    /// never meets a bad spec.
-    ///
-    /// # Errors
-    ///
-    /// `FFET_FAULTS: <parse message>` on an unparsable spec.
-    pub fn try_from_env() -> Result<FaultPlan, String> {
-        match std::env::var(FAULTS_ENV) {
-            Ok(spec) => FaultPlan::parse(&spec).map_err(|e| format!("{FAULTS_ENV}: {e}")),
-            Err(_) => Ok(FaultPlan::default()),
-        }
-    }
-
-    /// The plan from `FFET_FAULTS`, or empty when unset.
-    ///
-    /// # Panics
-    ///
-    /// On an unparsable spec — the variable is programmer-set, so a typo
-    /// should fail loudly rather than silently run faultless. The `repro`
-    /// and `ffet` drivers reject a bad spec at startup (exit 2) first.
+    /// The canonical spec of the plan — `name[@until]` per fault, joined
+    /// by `,` — which [`FaultPlan::parse`] reads back to the same faults.
+    /// Empty for the empty plan. A kind without a spec name (built in code,
+    /// never parsed) renders as its `Debug` form.
     #[must_use]
-    pub fn from_env() -> FaultPlan {
-        FaultPlan::try_from_env().unwrap_or_else(|e| panic!("{e}"))
+    pub fn spec(&self) -> String {
+        let name = |kind: FaultKind| {
+            FAULT_NAMES
+                .iter()
+                .find(|&&(_, k)| k == kind)
+                .map_or_else(|| format!("{kind:?}"), |&(n, _)| n.to_owned())
+        };
+        self.faults
+            .iter()
+            .map(|f| match f.until_attempt {
+                Some(until) => format!("{}@{until}", name(f.kind)),
+                None => name(f.kind),
+            })
+            .collect::<Vec<_>>()
+            .join(",")
     }
 
     /// Faults active on the current attempt.
@@ -333,45 +326,53 @@ impl FaultPlan {
     }
 }
 
+/// Spec name of every fault kind; `parse` reads it, `spec` writes it.
+const FAULT_NAMES: [(&str, FaultKind); 35] = [
+    ("net-undriven", FaultKind::NetUndriven),
+    ("net-multi-driven", FaultKind::NetMultiDriven),
+    ("pin-float", FaultKind::PinFloat),
+    ("comb-loop", FaultKind::CombLoop),
+    ("ghost-instance", FaultKind::GhostInstance),
+    ("bridge-orphan", FaultKind::BridgeOrphan),
+    ("cell-displace", FaultKind::CellDisplace),
+    ("placement-count", FaultKind::PlacementCountMismatch),
+    ("route-open", FaultKind::RouteOpen),
+    ("route-phantom", FaultKind::RoutePhantom),
+    ("wire-non-manhattan", FaultKind::WireNonManhattan),
+    ("wire-off-die", FaultKind::WireOffDie),
+    ("wire-illegal-layer", FaultKind::WireIllegalLayer),
+    ("wire-wrong-direction", FaultKind::WireWrongDirection),
+    ("via-displace", FaultKind::ViaDisplace),
+    ("demand-inflate", FaultKind::DemandInflate),
+    ("drv-inflate", FaultKind::DrvInflate),
+    ("def-drop-component", FaultKind::DefDropComponent),
+    ("def-dup-component", FaultKind::DefDupComponent),
+    ("def-macro-swap", FaultKind::DefMacroSwap),
+    ("def-ghost-component", FaultKind::DefGhostComponent),
+    ("def-drop-net", FaultKind::DefDropNet),
+    ("def-dup-net", FaultKind::DefDupNet),
+    ("def-ghost-net", FaultKind::DefGhostNet),
+    ("def-drop-connection", FaultKind::DefDropConnection),
+    ("def-add-connection", FaultKind::DefAddConnection),
+    ("panic-synth", FaultKind::StagePanic(FlowStage::Synth)),
+    ("panic-pnr", FaultKind::StagePanic(FlowStage::Pnr)),
+    ("panic-merge", FaultKind::StagePanic(FlowStage::Merge)),
+    ("panic-signoff", FaultKind::StagePanic(FlowStage::Signoff)),
+    ("panic-route", FaultKind::RoutePanic),
+    ("stage-timeout", FaultKind::StageTimeout(FlowStage::Pnr)),
+    ("timeout-synth", FaultKind::StageTimeout(FlowStage::Synth)),
+    ("timeout-merge", FaultKind::StageTimeout(FlowStage::Merge)),
+    (
+        "timeout-signoff",
+        FaultKind::StageTimeout(FlowStage::Signoff),
+    ),
+];
+
 fn kind_from_name(name: &str) -> Option<FaultKind> {
-    Some(match name {
-        "net-undriven" => FaultKind::NetUndriven,
-        "net-multi-driven" => FaultKind::NetMultiDriven,
-        "pin-float" => FaultKind::PinFloat,
-        "comb-loop" => FaultKind::CombLoop,
-        "ghost-instance" => FaultKind::GhostInstance,
-        "bridge-orphan" => FaultKind::BridgeOrphan,
-        "cell-displace" => FaultKind::CellDisplace,
-        "placement-count" => FaultKind::PlacementCountMismatch,
-        "route-open" => FaultKind::RouteOpen,
-        "route-phantom" => FaultKind::RoutePhantom,
-        "wire-non-manhattan" => FaultKind::WireNonManhattan,
-        "wire-off-die" => FaultKind::WireOffDie,
-        "wire-illegal-layer" => FaultKind::WireIllegalLayer,
-        "wire-wrong-direction" => FaultKind::WireWrongDirection,
-        "via-displace" => FaultKind::ViaDisplace,
-        "demand-inflate" => FaultKind::DemandInflate,
-        "drv-inflate" => FaultKind::DrvInflate,
-        "def-drop-component" => FaultKind::DefDropComponent,
-        "def-dup-component" => FaultKind::DefDupComponent,
-        "def-macro-swap" => FaultKind::DefMacroSwap,
-        "def-ghost-component" => FaultKind::DefGhostComponent,
-        "def-drop-net" => FaultKind::DefDropNet,
-        "def-dup-net" => FaultKind::DefDupNet,
-        "def-ghost-net" => FaultKind::DefGhostNet,
-        "def-drop-connection" => FaultKind::DefDropConnection,
-        "def-add-connection" => FaultKind::DefAddConnection,
-        "panic-synth" => FaultKind::StagePanic(FlowStage::Synth),
-        "panic-pnr" => FaultKind::StagePanic(FlowStage::Pnr),
-        "panic-merge" => FaultKind::StagePanic(FlowStage::Merge),
-        "panic-signoff" => FaultKind::StagePanic(FlowStage::Signoff),
-        "panic-route" => FaultKind::RoutePanic,
-        "stage-timeout" => FaultKind::StageTimeout(FlowStage::Pnr),
-        "timeout-synth" => FaultKind::StageTimeout(FlowStage::Synth),
-        "timeout-merge" => FaultKind::StageTimeout(FlowStage::Merge),
-        "timeout-signoff" => FaultKind::StageTimeout(FlowStage::Signoff),
-        _ => return None,
-    })
+    FAULT_NAMES
+        .iter()
+        .find(|&&(n, _)| n == name)
+        .map(|&(_, k)| k)
 }
 
 /// Picks a deterministic victim index in `0..n` (`n > 0`).
@@ -837,7 +838,14 @@ mod tests {
                 Fault::always(FaultKind::DrvInflate),
             ]
         );
+        assert_eq!(plan.spec(), "route-open,panic-pnr@1,drv-inflate");
+        for &(name, kind) in &FAULT_NAMES {
+            let one = FaultPlan::parse(name).expect("every table name parses");
+            assert_eq!(one.faults, vec![Fault::always(kind)]);
+            assert_eq!(one.spec(), name);
+        }
         assert!(FaultPlan::parse("").expect("empty ok").is_empty());
+        assert_eq!(FaultPlan::default().spec(), "");
         assert!(FaultPlan::parse("no-such-fault").is_err());
         assert!(FaultPlan::parse("route-open@x").is_err());
     }

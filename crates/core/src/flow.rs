@@ -3,7 +3,7 @@
 //! → dual-sided RC extraction → STA + power.
 
 use crate::faults::{FaultPlan, FlowStage};
-use crate::recover::max_attempts_from_env;
+use crate::recover::DEFAULT_MAX_ATTEMPTS;
 use crate::report::PpaReport;
 use crate::runner::CancelToken;
 use crate::synth::{synthesize, SynthConfig};
@@ -49,12 +49,12 @@ pub struct FlowConfig {
     /// [`run_flow`] ignores it).
     pub max_attempts: u32,
     /// Worker count for the router's batched rip-up rounds
-    /// (`--route-jobs` / `FFET_ROUTE_JOBS`; 1 = fully inline). Intra-point
+    /// ([`crate::RunEnv::route_jobs`]; 1 = fully inline). Intra-point
     /// parallelism, orthogonal to the DoE pool's `--jobs`: it changes
     /// wall-clock only, never an artifact byte.
     pub route_jobs: usize,
-    /// Per-attempt wall-clock budget in milliseconds (`--deadline` /
-    /// `FFET_DEADLINE`, in seconds). `None` (the default) never expires.
+    /// Per-attempt wall-clock budget in milliseconds
+    /// ([`crate::RunEnv::deadline_ms`]). `None` (the default) never expires.
     /// Expiry is cooperative — checked at stage boundaries and inside the
     /// router's rip-up/batch loops — and surfaces as
     /// [`FlowError::Timeout`], which the recovery ladder retries with a
@@ -65,53 +65,21 @@ pub struct FlowConfig {
     /// Seeded fault schedule (empty by default — the golden path).
     pub fault_plan: FaultPlan,
     /// Root directory of the content-addressed stage cache
-    /// (`FFET_STAGE_CACHE` for drivers; DESIGN §14). `None` (the default
+    /// ([`crate::RunEnv::stage_cache`]; DESIGN §14). `None` (the default
     /// outside the `repro` driver) runs every stage inline, byte-identical
-    /// to the pre-cache flow. Like `route_jobs`/`deadline_ms` this knob
+    /// to the pre-cache flow. Like `route_jobs` this knob
     /// never changes an artifact byte — a warm run rehydrates exactly what
     /// a cold run computes — so it is excluded from cache keys and
-    /// checkpoint signatures. Ignored (forced off) when `fault_plan` is
+    /// the config signature. Ignored (forced off) when `fault_plan` is
     /// non-empty: faulted artifacts must never enter or leave the cache.
     pub stage_cache: Option<std::path::PathBuf>,
 }
 
-/// Environment variable carrying the router worker count for the `repro`
-/// driver (`--route-jobs`). Unset or invalid → the DoE pool width
-/// ([`crate::runner::JOBS_ENV`] / available parallelism).
-pub const ROUTE_JOBS_ENV: &str = "FFET_ROUTE_JOBS";
-
-/// The router worker count from `FFET_ROUTE_JOBS`, defaulting to the DoE
-/// pool width (so a machine-wide `FFET_JOBS=1` also serializes the
-/// router).
-#[must_use]
-pub fn route_jobs_from_env() -> usize {
-    std::env::var(ROUTE_JOBS_ENV)
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or_else(|| {
-            crate::runner::width_from(std::env::var(crate::runner::JOBS_ENV).ok().as_deref())
-        })
-}
-
-/// Environment variable carrying the per-attempt deadline (in seconds,
-/// fractional allowed) for the `repro` driver (`--deadline`).
-pub const DEADLINE_ENV: &str = "FFET_DEADLINE";
-
-/// The per-attempt deadline from `FFET_DEADLINE` (seconds → milliseconds),
-/// or `None` when unset, unparsable, or non-positive.
-#[must_use]
-pub fn deadline_ms_from_env() -> Option<u64> {
-    std::env::var(DEADLINE_ENV)
-        .ok()
-        .and_then(|v| v.trim().parse::<f64>().ok())
-        .filter(|s| s.is_finite() && *s > 0.0)
-        .map(|s| (s * 1000.0).ceil() as u64)
-}
-
 impl FlowConfig {
     /// The paper's baseline configuration for a technology: 1.5 GHz
-    /// target, 70% utilization, square die, maximal single-sided routing.
+    /// target, 70% utilization, square die, maximal single-sided routing;
+    /// a serial router, the default attempt budget, no deadline, no
+    /// faults and no stage cache. Reads no environment.
     #[must_use]
     pub fn baseline(tech: TechKind) -> FlowConfig {
         FlowConfig {
@@ -129,14 +97,13 @@ impl FlowConfig {
             seed: 42,
             bridging_min_nm: None,
             extra_reroute_rounds: 0,
-            // The driver-facing knobs (`--max-attempts` / `--route-jobs` /
-            // `FFET_FAULTS`) enter here; experiment code sets the fields
-            // directly.
-            max_attempts: max_attempts_from_env(),
-            route_jobs: route_jobs_from_env(),
-            deadline_ms: deadline_ms_from_env(),
-            fault_plan: FaultPlan::from_env(),
-            stage_cache: crate::stagecache::root_from_env(),
+            // A driver's run knobs replace these through
+            // `RunEnv::baseline`.
+            max_attempts: DEFAULT_MAX_ATTEMPTS,
+            route_jobs: 1,
+            deadline_ms: None,
+            fault_plan: FaultPlan::default(),
+            stage_cache: None,
         }
     }
 

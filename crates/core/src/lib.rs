@@ -35,24 +35,21 @@ pub mod faults;
 mod flow;
 pub mod recover;
 mod report;
+mod run;
 pub mod runner;
 pub mod stagecache;
 mod synth;
 
-pub use faults::{Fault, FaultKind, FaultPlan, FlowStage, FAULTS_ENV};
-pub use flow::{
-    deadline_ms_from_env, route_jobs_from_env, run_flow, FlowConfig, FlowError, FlowOutcome,
-    StageTimes, DEADLINE_ENV, ROUTE_JOBS_ENV,
-};
+pub use faults::{Fault, FaultKind, FaultPlan, FlowStage};
+pub use flow::{run_flow, FlowConfig, FlowError, FlowOutcome, StageTimes};
 pub use recover::{
     run_flow_resilient, AttemptLog, AttemptRecord, PointDisposition, PointFailure, PointRecovery,
-    RecoveryRung, ResilientOutcome, MAX_ATTEMPTS_ENV,
+    RecoveryRung, ResilientOutcome,
 };
 pub use report::{pct_diff, PpaReport};
+pub use run::RunEnv;
 pub use runner::{JobError, JobOutcome, JobStats, Pool, RunLog, RunLogRow};
-pub use stagecache::{
-    CacheStatsReport, GcReport, Stage, StageCache, VerifyReport, STAGE_CACHE_ENV,
-};
+pub use stagecache::{CacheStatsReport, GcReport, Stage, StageCache, VerifyReport};
 pub use synth::{synthesize, SynthConfig, SynthStats};
 
 #[cfg(test)]

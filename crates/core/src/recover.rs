@@ -37,13 +37,9 @@ pub const UTIL_RELAX_STEP: f64 = 0.04;
 /// Utilization is never relaxed below this.
 pub const UTIL_RELAX_FLOOR: f64 = 0.30;
 
-/// Default `FlowConfig::max_attempts` (overridable via `FFET_MAX_ATTEMPTS`
-/// / `--max-attempts`).
+/// Default `FlowConfig::max_attempts` (a driver overrides it through
+/// [`crate::RunEnv::max_attempts`]).
 pub const DEFAULT_MAX_ATTEMPTS: u32 = 3;
-
-/// Environment variable overriding the attempt budget for the `repro`
-/// driver.
-pub const MAX_ATTEMPTS_ENV: &str = "FFET_MAX_ATTEMPTS";
 
 /// The escalation rung an attempt ran on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -343,17 +339,6 @@ pub fn run_flow_resilient(
             ladder_ms,
         },
     }
-}
-
-/// `max_attempts` from `FFET_MAX_ATTEMPTS`, defaulting (and clamping bad
-/// values) to [`DEFAULT_MAX_ATTEMPTS`].
-#[must_use]
-pub fn max_attempts_from_env() -> u32 {
-    std::env::var(MAX_ATTEMPTS_ENV)
-        .ok()
-        .and_then(|v| v.trim().parse::<u32>().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or(DEFAULT_MAX_ATTEMPTS)
 }
 
 #[cfg(test)]

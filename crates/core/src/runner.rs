@@ -18,15 +18,14 @@
 //!
 //! A job that panics is caught and reported as a failed point
 //! ([`JobError::Panicked`]); it does not poison the pool or abort sibling
-//! jobs. Pool width comes from `FFET_JOBS` (or `--jobs` in the `repro`
-//! driver), defaulting to the machine's available parallelism.
+//! jobs. Pool width comes from [`crate::RunEnv::jobs`] (`--jobs` / `FFET_JOBS`
+//! in the `repro` driver).
 
 use std::time::Duration;
 
 pub use crate::flow::StageTimes;
 pub use ffet_pool::{
-    panic_message, width_from, CancelToken, Disposition, JobError, JobOutcome, JobStats, Pool,
-    JOBS_ENV,
+    panic_message, CancelToken, Disposition, JobError, JobOutcome, JobStats, Pool,
 };
 
 // ---------------------------------------------------------------------

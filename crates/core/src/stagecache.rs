@@ -54,32 +54,14 @@ use ffet_verify::{Severity, SignoffReport, Violation};
 /// (old blobs become unreachable garbage for `gc`, never wrong answers).
 pub const PAYLOAD_VERSION: u64 = 1;
 
-/// Environment variable enabling the stage cache for driver binaries
-/// (`repro`, benches). Unset, empty or `0` → disabled; `1` → the default
-/// root [`DEFAULT_ROOT`]; anything else → that path. Tests set
-/// [`crate::FlowConfig::stage_cache`] directly instead (env is process-wide
-/// and `cargo test` is multi-threaded).
-pub const STAGE_CACHE_ENV: &str = "FFET_STAGE_CACHE";
-
-/// Default cache root, relative to the run's working directory (inside the
-/// PR 8 checkpoint directory, beside the experiment-level blobs).
+/// Default cache root, relative to the run's working directory: where the
+/// `repro` driver caches unless told otherwise.
 pub const DEFAULT_ROOT: &str = "results/ckpt/objects";
 
 /// Manifest file inside the cache root: append-only size/stage accounting
 /// for `ffet cache stats`/`gc` (advisory — the blobs themselves are ground
 /// truth; see [`stats`]).
 pub const MANIFEST_FILE: &str = "manifest.jsonl";
-
-/// The stage-cache root from [`STAGE_CACHE_ENV`], if enabled.
-#[must_use]
-pub fn root_from_env() -> Option<PathBuf> {
-    let value = std::env::var(STAGE_CACHE_ENV).ok()?;
-    match value.trim() {
-        "" | "0" => None,
-        "1" => Some(PathBuf::from(DEFAULT_ROOT)),
-        path => Some(PathBuf::from(path)),
-    }
-}
 
 /// The six flow stages, in pipeline order — the nodes of the stage DAG.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -31,9 +31,6 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-/// Environment variable controlling the default pool width.
-pub const JOBS_ENV: &str = "FFET_JOBS";
-
 /// How a job ended, as recorded in the run log.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Disposition {
@@ -130,13 +127,6 @@ impl Pool {
         Pool {
             width: width.max(1),
         }
-    }
-
-    /// A pool sized from the `FFET_JOBS` environment variable, falling back
-    /// to the machine's available parallelism.
-    #[must_use]
-    pub fn from_env() -> Pool {
-        Pool::new(width_from(std::env::var(JOBS_ENV).ok().as_deref()))
     }
 
     /// Worker count.
@@ -395,17 +385,6 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Pool width from an optional `FFET_JOBS`-style value: a positive integer
-/// wins; anything else falls back to available parallelism.
-#[must_use]
-pub fn width_from(var: Option<&str>) -> usize {
-    var.and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-        })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -421,16 +400,6 @@ mod tests {
     fn width_is_clamped_to_one() {
         assert_eq!(Pool::new(0).width(), 1);
         assert_eq!(Pool::new(7).width(), 7);
-    }
-
-    #[test]
-    fn width_from_env_values() {
-        assert_eq!(width_from(Some("3")), 3);
-        assert_eq!(width_from(Some(" 2 ")), 2);
-        // Invalid / zero fall back to available parallelism (≥ 1).
-        assert!(width_from(Some("0")) >= 1);
-        assert!(width_from(Some("lots")) >= 1);
-        assert!(width_from(None) >= 1);
     }
 
     #[test]

@@ -5,24 +5,24 @@
 //!   per-job seeds, no cross-job communication);
 //! * a single `run_flow` call is bit-reproducible, down to the signoff and
 //!   timing reports;
-//! * the DoE pool width (`FFET_JOBS`) and the router's intra-point worker
-//!   count (`FFET_ROUTE_JOBS`) are *independent* knobs — every point of
+//! * the DoE pool width (`RunEnv::jobs`) and the router's intra-point
+//!   worker count (`RunEnv::route_jobs`) are *independent* knobs — every point of
 //!   the {1,4} × {1,4} cross-matrix agrees byte for byte.
 
 use ffet_core::experiments::{self, utilization_sweep, DesignKind};
 use ffet_core::runner::Pool;
-use ffet_core::{designs, run_flow, FlowConfig};
+use ffet_core::{designs, run_flow, FlowConfig, RunEnv};
 use ffet_tech::{RoutingPattern, TechKind};
 
 /// The same seeded sweep at `jobs=1` and `jobs=4` must agree byte for byte
 /// on every table artifact and on every underlying report.
 #[test]
 fn fig8_sweep_is_pool_width_invariant() {
-    let serial = experiments::fig8_on(DesignKind::CounterSmall, &Pool::new(1));
-    let parallel = experiments::fig8_on(DesignKind::CounterSmall, &Pool::new(4));
+    let serial = experiments::fig8(&RunEnv::new(DesignKind::CounterSmall));
+    let parallel = experiments::fig8(&RunEnv::new(DesignKind::CounterSmall).with_jobs(4));
     assert_eq!(
-        serial.table.to_csv(),
-        parallel.table.to_csv(),
+        serial.out.table.to_csv(),
+        parallel.out.table.to_csv(),
         "CSV must be byte-identical at jobs=1 and jobs=4"
     );
     assert_eq!(serial.max_utils, parallel.max_utils);
@@ -34,13 +34,13 @@ fn fig8_sweep_is_pool_width_invariant() {
 /// identically at any width, including the diff-vs-baseline columns.
 #[test]
 fn table3_is_pool_width_invariant() {
-    let serial = experiments::table3_on(DesignKind::CounterSmall, &Pool::new(1));
-    let parallel = experiments::table3_on(DesignKind::CounterSmall, &Pool::new(4));
-    assert_eq!(serial.table.to_csv(), parallel.table.to_csv());
+    let serial = experiments::table3(&RunEnv::new(DesignKind::CounterSmall));
+    let parallel = experiments::table3(&RunEnv::new(DesignKind::CounterSmall).with_jobs(4));
+    assert_eq!(serial.out.table.to_csv(), parallel.out.table.to_csv());
     assert_eq!(serial.rows_data, parallel.rows_data);
 }
 
-/// The {`FFET_JOBS`} × {`FFET_ROUTE_JOBS`} cross-matrix: a sweep's full
+/// The {`jobs`} × {`route_jobs`} cross-matrix: a sweep's full
 /// per-point results (reports, signoff, recovery dispositions) must be
 /// identical at every combination of DoE pool width and router worker
 /// count — the two levels of parallelism compose without touching a byte.

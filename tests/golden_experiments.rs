@@ -4,8 +4,9 @@
 //!
 //! These pin the full pipeline — synthesis, P&R, extraction, STA, table
 //! formatting — so any unintended numeric or formatting drift fails CI.
-//! They run on the env-configured DoE pool (`FFET_JOBS`), so the CI matrix
-//! exercises the byte-identical-at-any-width contract for free.
+//! Each flow golden is checked at two widths in-process — serial, and four
+//! DoE workers with a four-worker router — so the byte-identical-at-any-
+//! width contract is pinned against the checked-in bytes too.
 //!
 //! After an *intentional* change to flow numerics, re-bless the goldens:
 //!
@@ -14,6 +15,7 @@
 //! ```
 
 use ffet_core::experiments::{self, DesignKind};
+use ffet_core::RunEnv;
 use std::path::PathBuf;
 
 fn golden_path(name: &str) -> PathBuf {
@@ -69,28 +71,38 @@ fn check_golden(name: &str, fresh: &str) {
     }
 }
 
+/// Checks the counter-design CSV of the registered experiment `name`
+/// against its golden at pool widths 1 and 4 (the router following the
+/// pool width).
+fn check_flow_golden(name: &str) {
+    let &(_, experiment) = experiments::EXPERIMENTS
+        .iter()
+        .find(|(n, _)| *n == name)
+        .expect("registered experiment");
+    for jobs in [1, 4] {
+        let run = RunEnv::new(DesignKind::CounterSmall).with_jobs(jobs);
+        check_golden(&format!("{name}_counter"), &experiment(&run).table.to_csv());
+    }
+}
+
 #[test]
 fn golden_fig8_counter() {
-    let fig8 = experiments::fig8_with(DesignKind::CounterSmall);
-    check_golden("fig8_counter", &fig8.table.to_csv());
+    check_flow_golden("fig8");
 }
 
 #[test]
 fn golden_fig9_counter() {
-    let fig9 = experiments::fig9_with(DesignKind::CounterSmall);
-    check_golden("fig9_counter", &fig9.table.to_csv());
+    check_flow_golden("fig9");
 }
 
 #[test]
 fn golden_table3_counter() {
-    let table3 = experiments::table3_with(DesignKind::CounterSmall);
-    check_golden("table3_counter", &table3.table.to_csv());
+    check_flow_golden("table3");
 }
 
 #[test]
 fn golden_ablation_counter() {
-    let ablation = experiments::bridging_ablation_with(DesignKind::CounterSmall);
-    check_golden("ablation_counter", &ablation.table.to_csv());
+    check_flow_golden("ablation");
 }
 
 /// The analytic (non-flow) tables are golden-pinned too; they are cheap and

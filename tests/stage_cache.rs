@@ -13,13 +13,13 @@
 //!   later clean run, and a clean prefix cannot mask an injected fault.
 
 use ffet_core::experiments::{self, utilization_sweep, DesignKind};
-use ffet_core::{designs, run_flow, Fault, FaultKind, FaultPlan, FlowConfig, Pool};
+use ffet_core::{designs, run_flow, Fault, FaultKind, FaultPlan, FlowConfig, Pool, RunEnv};
 use ffet_tech::{RoutingPattern, TechKind};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
 /// Serializes every test in this binary: they share the process-global
-/// cache-stats registry (and one test mutates the cache-root env var).
+/// cache-stats registry.
 static STATS_GUARD: Mutex<()> = Mutex::new(());
 
 fn lock() -> std::sync::MutexGuard<'static, ()> {
@@ -38,8 +38,7 @@ fn scratch(tag: &str) -> PathBuf {
 
 /// The golden-proven dual-sided configuration (same as the fault matrix):
 /// FM12BM12 BP0.5 closes cleanly on the counter pipeline, with the stage
-/// cache pointed at an explicit scratch root (never the env: tests run in
-/// parallel threads and must not leak a cache root into each other).
+/// cache pointed at an explicit scratch root.
 fn base_config(root: &Path) -> FlowConfig {
     FlowConfig {
         pattern: RoutingPattern::new(12, 12).expect("static"),
@@ -123,24 +122,23 @@ fn warm_sweep_is_byte_identical_and_skips_stages_at_any_pool_width() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
-/// The driver-level contract: with the cache root riding the env var —
+/// The driver-level contract: with the cache root riding the `RunEnv` —
 /// exactly how the repro binary wires it — a warm rerun of a whole
 /// experiment reproduces the golden CSV byte for byte at `jobs` 1 and 4.
 #[test]
 fn warm_fig8_reproduces_the_golden_csv_via_the_env_knob() {
     let _g = lock();
     let root = scratch("env");
-    std::env::set_var(ffet_core::STAGE_CACHE_ENV, &root);
-    let cold_csv = experiments::fig8_on(DesignKind::CounterSmall, &Pool::new(1))
+    let run = RunEnv {
+        stage_cache: Some(root.clone()),
+        ..RunEnv::new(DesignKind::CounterSmall)
+    };
+    let cold_csv = experiments::fig8(&run).out.table.to_csv();
+    let warm1_csv = experiments::fig8(&run).out.table.to_csv();
+    let warm4_csv = experiments::fig8(&run.clone().with_jobs(4))
+        .out
         .table
         .to_csv();
-    let warm1_csv = experiments::fig8_on(DesignKind::CounterSmall, &Pool::new(1))
-        .table
-        .to_csv();
-    let warm4_csv = experiments::fig8_on(DesignKind::CounterSmall, &Pool::new(4))
-        .table
-        .to_csv();
-    std::env::remove_var(ffet_core::STAGE_CACHE_ENV);
     assert_eq!(cold_csv, warm1_csv, "warm rerun at jobs=1 drifted");
     assert_eq!(cold_csv, warm4_csv, "warm rerun at jobs=4 drifted");
     let golden = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
